@@ -93,9 +93,6 @@ class Configuration:
     robots: Mapping[RobotId, tuple[Point, RobotStatus]]
     step_index: int = 0
 
-    def ids(self) -> list[RobotId]:
-        return sorted(self.robots)
-
     def position_of(self, robot: RobotId) -> Point:
         return self.robots[robot][0]
 
@@ -208,29 +205,6 @@ def is_scattered(config: Configuration, weak: bool = False) -> bool:
     return all(counts[pos] == 1 for pos in config.correct_positions())
 
 
-def rounds_elapsed(
-    history: Sequence[Iterable[RobotId]], population: Iterable[RobotId]
-) -> int:
-    """Completed rounds in an activation history.
-
-    Greedily partitions the history into minimal-length prefixes in which
-    every robot of the population appears at least once and returns how many
-    such prefixes complete. A trailing fragment that has not yet covered the
-    population does not count.
-    """
-    population = set(population)
-    if not population:
-        raise ValueError("population must be nonempty")
-    pending = set(population)
-    rounds = 0
-    for activated in history:
-        pending -= set(activated)
-        if not pending:
-            rounds += 1
-            pending = set(population)
-    return rounds
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one execution: convergence flag, cost metrics, final state."""
@@ -239,7 +213,6 @@ class TrialRecord:
     steps: int
     rounds: int
     final: Configuration
-    activation_history: tuple[frozenset[RobotId], ...] | None = None
 
 
 def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
@@ -268,7 +241,6 @@ def run(
     seed: int = 0,
     *,
     coin_overrides: CoinOverrides | None = None,
-    record_history: bool = False,
     on_step: Callable[[dict], None] | None = None,
 ) -> TrialRecord:
     """Drive a full execution until the predicate holds or the horizon ends.
@@ -278,8 +250,18 @@ def run(
     triggers see the post-step configuration before the next scheduler
     query). Crashes scheduled for step 0 and Byzantine statuses from the plan
     are applied before the initial predicate check. ``steps`` counts scheduler
-    activations consumed; ``rounds`` counts completed rounds over the current
-    non-removed population.
+    activations consumed.
+
+    ``rounds`` counts completed rounds. A round closes after the first step
+    by which every robot that is still eligible (not crash-removed) has been
+    activated at least once since the previous round closed; a partial round
+    at the end does not count. A robot removed mid-round stops holding that
+    round open, so the remaining robots can close it without it. Frozen
+    robots stay eligible, so a round still waits for their no-op turn.
+
+    ``on_step`` receives the start line, then one trace line per step whose
+    ``activated`` field is the scheduler's choice at that step: the trace is
+    the run's only activation record.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -295,14 +277,13 @@ def run(
     if plan is not None:
         config = plan.fire(config, fault_state)
 
-    history: list[frozenset[RobotId]] = []
     rounds = 0
     seen: set[RobotId] = set()
     start = config.step_index
     if on_step is not None:
         on_step(trace_record(config, ()))
     if predicate(config):
-        return TrialRecord(True, 0, 0, config, tuple(history) if record_history else None)
+        return TrialRecord(True, 0, 0, config)
 
     converged = False
     while config.step_index - start < max_steps:
@@ -311,8 +292,6 @@ def run(
             raise RuntimeError("no robots left to activate")
         activated = frozenset(policy.next_activation(eligible, rng))
         config = step(config, activated, program, byzantine, rng, coin_overrides)
-        if record_history:
-            history.append(activated)
         seen |= activated
         if config.eligible() <= seen:
             rounds += 1
@@ -324,10 +303,4 @@ def run(
             break
         if plan is not None:
             config = plan.fire(config, fault_state)
-    return TrialRecord(
-        converged,
-        config.step_index - start,
-        rounds,
-        config,
-        tuple(history) if record_history else None,
-    )
+    return TrialRecord(converged, config.step_index - start, rounds, config)

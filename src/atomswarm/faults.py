@@ -23,7 +23,6 @@ __all__ = [
     "FaultPlan",
     "WORST_CASE_TRIGGER",
     "worst_case_crash_trigger",
-    "apply_crashes",
     "oscillator_move",
     "OscillatorStrategy",
     "StayPutStrategy",
@@ -164,10 +163,6 @@ class FaultPlan:
         return current
 
 
-def apply_crashes(config: Configuration, plan: FaultPlan, state: list[bool]) -> Configuration:
-    return plan.fire(config, state)
-
-
 def oscillator_move(config: Configuration, robot: RobotId) -> Point:
     """Rebalancing adversary for two-group configurations.
 
@@ -266,7 +261,12 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
                     f"{', '.join(sorted(BYZANTINE_STRATEGIES))}"
                 ) from None
         else:
-            moves = {int(s): Point(*p) for s, p in name.get("moves", {}).items()}
-            strategy = ScriptedStrategy(moves)
+            moves = name.get("moves", {}) if isinstance(name, Mapping) else None
+            if not isinstance(moves, Mapping):
+                raise ValueError(
+                    "byzantine strategy must be a name or a "
+                    f"{{\"moves\": {{step: [x, y]}}}} object, got {name!r}"
+                )
+            strategy = ScriptedStrategy({int(s): Point(*p) for s, p in moves.items()})
         byzantine[int(entry["robot"])] = strategy
     return FaultPlan(int(data["f"]), tuple(crashes), byzantine)

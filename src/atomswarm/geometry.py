@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 # Attempts per radius before the in-cell sampler halves the radius.
-DEFAULT_SAMPLE_ATTEMPTS = 1000
+SAMPLE_ATTEMPTS = 1000
 
 # Radius below which a cell is reported as degenerate.
 MIN_SAMPLE_RADIUS = 1e-12
@@ -71,9 +71,9 @@ def voronoi_cell_contains(site: Point, sites: Iterable[Point], q: Point) -> bool
     """True iff q lies strictly closer to ``site`` than to every other site.
 
     Cells are open: a point equidistant to two or more sites belongs to no
-    cell. A lone site owns the whole plane (minus itself being a valid
-    member; the site point itself IS in its own cell by this test, callers
-    that need q != site must check separately).
+    cell. A lone site owns the whole plane. The site itself always passes
+    this test, so callers that need ``q != site`` must check that
+    separately.
     """
     site_set = set(sites)
     if site not in site_set:
@@ -94,18 +94,12 @@ def default_sampling_radius(site: Point, sites: Iterable[Point]) -> float:
     return min(site.distance_to(s) for s in others) / 2.0
 
 
-def sample_point_in_cell(
-    site: Point,
-    sites: Iterable[Point],
-    radius: float,
-    rng,
-    max_attempts: int = DEFAULT_SAMPLE_ATTEMPTS,
-) -> Point:
+def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng) -> Point:
     """Uniform sample from the open Voronoi cell of ``site``, near the site.
 
     Draws uniformly from the disk of the given radius centred on the site and
     keeps the first draw that lands strictly inside the cell and is not the
-    site itself. If ``max_attempts`` draws in a row reject, the radius is
+    site itself. If ``SAMPLE_ATTEMPTS`` draws in a row reject, the radius is
     halved and sampling restarts; below ``MIN_SAMPLE_RADIUS`` the cell is
     reported as degenerate.
 
@@ -117,7 +111,7 @@ def sample_point_in_cell(
     if radius <= 0:
         raise ValueError("radius must be positive")
     while radius >= MIN_SAMPLE_RADIUS:
-        for _ in range(max_attempts):
+        for _ in range(SAMPLE_ATTEMPTS):
             r = radius * math.sqrt(rng.uniform(0.0, 1.0))
             theta = rng.uniform(0.0, 2.0 * math.pi)
             candidate = Point(site.x + r * math.cos(theta), site.y + r * math.sin(theta))

@@ -17,7 +17,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +77,7 @@ class ConfigError(ValueError):
 SCHEDULER_NAMES = ("centralized-fair", "probabilistic", "k-bounded", "scripted")
 LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
 PREDICATE_NAMES = ("gathering", "scattering")
+INTEGER_FIELDS = ("n", "trials", "max_steps", "seed", "workers")
 
 
 @dataclass
@@ -123,6 +123,10 @@ class ExperimentConfig:
         return data
 
     def validate(self) -> "ExperimentConfig":
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.trials < 1:
@@ -287,10 +291,6 @@ def run_single_trial(config: ExperimentConfig, trial_index: int, trial_seed: int
     }
 
 
-def _pool_trial(payload: dict, trial_index: int, trial_seed: int) -> dict:
-    return run_single_trial(ExperimentConfig.from_dict(payload), trial_index, trial_seed)
-
-
 @dataclass(frozen=True)
 class TrialStats:
     """Batch summary. Step/round moments cover converged trials only."""
@@ -352,18 +352,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, list[dict]]:
     config.validate()
     seeds = derive_trial_seeds(config.seed, config.trials)
     if config.workers > 1:
-        payload = config.to_dict()
         chunk = max(1, config.trials // (config.workers * 8))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(
-                pool.map(
-                    _pool_trial,
-                    repeat(payload),
-                    range(config.trials),
-                    seeds,
-                    chunksize=chunk,
-                )
-            )
+            trial = partial(run_single_trial, config)
+            records = list(pool.map(trial, range(config.trials), seeds, chunksize=chunk))
     else:
         records = [run_single_trial(config, i, s) for i, s in enumerate(seeds)]
     records.sort(key=lambda r: r["trial_id"])
@@ -596,7 +588,6 @@ def replay_counterexample(cycles: int = 100) -> CounterexampleReport:
         max_steps=4 * cycles,
         seed=0,
         coin_overrides=policy.coin_overrides,
-        record_history=True,
         on_step=traces.append,
     )
     boundaries = range(4, 4 * cycles + 1, 4)
@@ -607,7 +598,8 @@ def replay_counterexample(cycles: int = 100) -> CounterexampleReport:
             isomorphic += 1
         elif first_divergence is None:
             first_divergence = step
-    report = audit(record.activation_history or (), population=range(4), k=3)
+    history = [trace["activated"] for trace in traces[1:]]
+    report = audit(history, population=range(4), k=3)
     broken = record.converged or isomorphic < len(boundaries) or not report.k_compliant
     return CounterexampleReport(
         cycles=cycles,

@@ -62,32 +62,21 @@ def baseline_gather_step(obs, self_pos: Point, source) -> Point:
     return self_pos
 
 
-def multiplicity_gather_step(
-    obs, self_pos: Point, source, *, coin_denominator: str = "positions"
-) -> Point:
+def multiplicity_gather_step(obs, self_pos: Point, source) -> Point:
     """Gathering with multiplicity knowledge.
 
     Let M be the set of observed positions of maximal multiplicity. A robot
     standing on one of several tied maxima moves, with probability 1/|M|, to
     a uniformly chosen other position of M and otherwise stays. Any other
     robot moves straight to a uniformly chosen position of M, which is a
-    deterministic move when the maximum is unique.
-
-    ``coin_denominator`` selects what |M| counts in the tie coin:
-    ``"positions"`` (default) counts the tied positions, ``"robots"`` counts
-    the robots standing on them.
+    deterministic move when the maximum is unique. |M| counts the tied
+    positions, not the robots standing on them.
     """
-    if coin_denominator not in ("positions", "robots"):
-        raise ValueError(f"coin_denominator must be 'positions' or 'robots', got {coin_denominator!r}")
     view = sorted(obs)
     occupancy = multiplicities(view)
     tops = sorted(max_multiplicity_positions(occupancy))
     if self_pos in tops and len(tops) > 1:
-        if coin_denominator == "positions":
-            denominator = len(tops)
-        else:
-            denominator = len(tops) * max(occupancy.values())
-        if source.coin(1.0 / denominator):
+        if source.coin(1.0 / len(tops)):
             return source.choose([p for p in tops if p != self_pos])
         return self_pos
     return source.choose(tops)

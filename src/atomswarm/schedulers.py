@@ -8,7 +8,6 @@ fresh one per trial.
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,6 @@ from typing import Iterable, Sequence
 from .engine import CoinOverrides, RobotId
 
 __all__ = [
-    "ActivationPolicy",
     "CentralizedFairPolicy",
     "ProbabilisticPolicy",
     "KBoundedPolicy",
@@ -29,12 +27,7 @@ __all__ = [
 ]
 
 
-class ActivationPolicy:
-    def next_activation(self, eligible: frozenset[RobotId], rng: random.Random) -> frozenset[RobotId]:
-        raise NotImplementedError
-
-
-class CentralizedFairPolicy(ActivationPolicy):
+class CentralizedFairPolicy:
     """Round-robin over robot ids; exactly one robot per step.
 
     Robots that leave the eligible set (crash-removed) are skipped; frozen
@@ -57,36 +50,22 @@ class CentralizedFairPolicy(ActivationPolicy):
         return frozenset((pick,))
 
 
-class ProbabilisticPolicy(ActivationPolicy):
+class ProbabilisticPolicy:
     """Uniform draw over the nonempty subsets of the eligible robots.
 
-    With ``independent_coins=True`` each robot is instead activated by an
-    independent Bernoulli(activation_probability) coin, resampling whenever
-    the drawn subset comes out empty. At probability 1/2 the two modes give
-    the same distribution; the flag exists for sensitivity checks at other
-    activation probabilities.
+    Equivalently, every robot flips a fair coin and the draw is repeated
+    until the activated subset is nonempty.
     """
-
-    def __init__(self, independent_coins: bool = False, activation_probability: float = 0.5):
-        if not 0.0 < activation_probability < 1.0:
-            raise ValueError("activation_probability must lie strictly between 0 and 1")
-        self._independent = independent_coins
-        self._p = activation_probability
 
     def next_activation(self, eligible, rng):
         order = sorted(eligible)
         if not order:
             raise ValueError("eligible set must be nonempty")
-        if self._independent:
-            while True:
-                chosen = frozenset(r for r in order if rng.random() < self._p)
-                if chosen:
-                    return chosen
         mask = rng.randrange(1, 1 << len(order))
         return frozenset(r for i, r in enumerate(order) if mask >> i & 1)
 
 
-class KBoundedPolicy(ActivationPolicy):
+class KBoundedPolicy:
     """One robot per step, kept k-bounded by construction.
 
     Between two consecutive activations of any robot, no other robot may run
@@ -134,7 +113,7 @@ class KBoundedPolicy(ActivationPolicy):
 _NO_COUNTS: Counter = Counter()
 
 
-class ScriptedPolicy(ActivationPolicy):
+class ScriptedPolicy:
     """Replay of a fixed activation sequence; may be unfair on purpose.
 
     Carries the coin overrides from its script so a runner can hand them to

@@ -48,6 +48,21 @@ def test_config_errors_exit_with_code_one(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_malformed_byzantine_strategies_are_config_errors(capsys):
+    faults = '{"f": 1, "byzantine": [{"robot": 0, "strategy": 5}]}'
+    code = main(["simulate", *BASELINE_PAIR, "--faults", faults])
+    assert code == 1
+    assert "config error: bad fault plan: byzantine strategy" in capsys.readouterr().err
+
+
+def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": "8", "trials": "3"}))
+    code = main(["experiment", "--config", str(config)])
+    assert code == 1
+    assert "config error: n must be an integer" in capsys.readouterr().err
+
+
 def test_simulate_prints_convergence_and_final_positions(capsys, tmp_path):
     trace = tmp_path / "trace.jsonl"
     code = main(["simulate", *BASELINE_PAIR, "--seed", "3", "--trace", str(trace)])

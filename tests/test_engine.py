@@ -14,7 +14,6 @@ from atomswarm.engine import (
     configuration_from_positions,
     is_gathered,
     is_scattered,
-    rounds_elapsed,
     run,
     step,
     trace_record,
@@ -68,7 +67,7 @@ def test_coin_overrides_are_keyed_by_step_and_robot():
 
 def test_configuration_from_positions_assigns_ids_in_order():
     config = configuration_from_positions([(0.0, 0.0), (1.0, 2.0)])
-    assert config.ids() == [0, 1]
+    assert sorted(config.robots) == [0, 1]
     assert config.position_of(1) == Point(1.0, 2.0)
     assert config.status_of(0) is RobotStatus.CORRECT
     assert config.step_index == 0
@@ -191,24 +190,41 @@ def test_weak_scattering_fails_when_a_correct_robot_shares_with_a_frozen_one():
     assert not is_scattered(config, weak=True)
 
 
+def rounds_of(history, n, plan=None):
+    """Rounds ``run`` counts when n apart, motionless robots replay ``history``."""
+    config = configuration_from_positions([(float(i), 0.0) for i in range(n)])
+    record = run(
+        config,
+        ScriptedPolicy(history),
+        stay,
+        plan,
+        predicate=lambda c: c.step_index == len(history),
+        max_steps=len(history) + 1,
+    )
+    assert record.steps == len(history)
+    return record.rounds
+
+
 def test_rounds_close_as_soon_as_everyone_has_run():
-    assert rounds_elapsed([{1}, {2}, {1, 2}], {1, 2}) == 2
-    assert rounds_elapsed([{1, 2}, {1, 2}], {1, 2}) == 2
-    assert rounds_elapsed([{1}, {1}, {2}], {1, 2}) == 1
-    assert rounds_elapsed([{1}], {1, 2}) == 0
-    assert rounds_elapsed([], {1, 2}) == 0
+    assert rounds_of([{0}, {1}, {0, 1}], 2) == 2
+    assert rounds_of([{0, 1}, {0, 1}], 2) == 2
+    assert rounds_of([{0}, {0}, {1}], 2) == 1
+    assert rounds_of([{0}], 2) == 0
+    assert rounds_of([], 2) == 0
 
 
-def test_rounds_need_a_population():
-    with pytest.raises(ValueError):
-        rounds_elapsed([{1}], set())
+def test_a_robot_removed_mid_round_stops_holding_it_open():
+    history = [{0}, {1}] * 3
+    plan = FaultPlan(f=1, crashes=(CrashEvent(CrashMode.REMOVE, robot=2, at=1),))
+    assert rounds_of(history, 3) == 0
+    assert rounds_of(history, 3, plan) == 3
 
 
 @given(st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=4), max_size=30))
 def test_appending_a_full_activation_closes_exactly_one_round(history):
     population = {0, 1, 2, 3}
-    base = rounds_elapsed(history, population)
-    assert rounds_elapsed(history + [population], population) == base + 1
+    base = rounds_of(history, 4)
+    assert rounds_of(history + [population], 4) == base + 1
 
 
 def test_trace_records_carry_positions_for_non_removed_robots_only():
@@ -243,19 +259,15 @@ def test_run_stops_at_the_horizon_when_nothing_converges():
 
 def test_run_counts_steps_and_rounds_consistently():
     config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
-    policy = ScriptedPolicy([{0}, {1, 2}, {0, 1, 2}, {1}, {2}])
+    script = [{0}, {1, 2}, {0, 1, 2}, {1}, {2}]
+    lines = []
     record = run(
-        config, policy, stay, predicate=is_gathered, max_steps=5, record_history=True
+        config, ScriptedPolicy(script), stay,
+        predicate=is_gathered, max_steps=5, on_step=lines.append,
     )
     assert record.steps == 5
-    assert record.activation_history == (
-        frozenset({0}),
-        frozenset({1, 2}),
-        frozenset({0, 1, 2}),
-        frozenset({1}),
-        frozenset({2}),
-    )
-    assert record.rounds == rounds_elapsed(record.activation_history, {0, 1, 2}) == 2
+    assert [set(line["activated"]) for line in lines[1:]] == script
+    assert record.rounds == rounds_of(script, 3) == 2
 
 
 def test_run_applies_step_zero_crashes_before_the_first_predicate_check():

@@ -99,7 +99,7 @@ def test_events_fire_once_and_later_events_see_earlier_strikes():
     after = plan.fire(config, state)
     assert state == [True, True]
     frozen = [
-        rid for rid in after.ids() if after.status_of(rid) is RobotStatus.CRASHED_FROZEN
+        rid for rid in sorted(after.robots) if after.status_of(rid) is RobotStatus.CRASHED_FROZEN
     ]
     assert frozen == [0, 1]
     assert not worst_case_crash_trigger(after)

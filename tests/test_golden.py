@@ -1,0 +1,124 @@
+"""Golden-output gate: seeded batches must keep writing the same bytes.
+
+Each config below is small and seeded. Its ``trials.csv`` and
+``summary.json`` are pinned by SHA-256, so any change that alters what a
+seeded experiment writes (the order programs consume randomness, round
+counting, fault firing, output formatting) fails here. A change that is
+meant to alter the outputs regenerates these digests and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from atomswarm.harness import ExperimentConfig, run_experiment
+
+SCRIPT = {
+    "activations": [[0], [1], [2, 3], [0, 1, 2, 3], [3], [1]],
+    "coins": [
+        {"step": 0, "robot": 0, "bits": [1]},
+        {"step": 2, "robot": 2, "bits": [0]},
+        {"step": 2, "robot": 3, "bits": [1]},
+        {"step": 3, "robot": 1, "bits": [1, 0]},
+    ],
+}
+
+GOLDEN_CONFIGS = {
+    "gather": dict(
+        n=8, program="multiplicity-gather", scheduler="centralized-fair", trials=40, seed=11
+    ),
+    "scatter": dict(
+        n=6,
+        program="voronoi-scatter",
+        scheduler="probabilistic",
+        layout="all-at-one-point",
+        predicate="scattering",
+        trials=30,
+        seed=12,
+    ),
+    "k-bounded": dict(
+        n=6,
+        program="multiplicity-gather",
+        scheduler="k-bounded",
+        scheduler_params={"k": 2},
+        trials=30,
+        seed=13,
+    ),
+    "crash": dict(
+        n=8,
+        program="multiplicity-gather",
+        scheduler="probabilistic",
+        weak=True,
+        faults={
+            "f": 2,
+            "crashes": [
+                {"mode": "freeze", "when": "max_group_reaches_alpha"},
+                {"mode": "remove", "robot": 7, "at": 2},
+            ],
+        },
+        trials=40,
+        seed=14,
+    ),
+    "byzantine": dict(
+        n=4,
+        program="multiplicity-gather",
+        scheduler="probabilistic",
+        layout="two-groups",
+        weak=True,
+        faults={"f": 1, "byzantine": [{"robot": 3, "strategy": "oscillator"}]},
+        trials=40,
+        seed=15,
+    ),
+    "scripted": dict(
+        n=4,
+        program="multiplicity-gather",
+        scheduler="scripted",
+        scheduler_params={"script": SCRIPT},
+        layout="explicit",
+        layout_params={"positions": [[0, 0], [1, 0], [2, 0], [3, 0]]},
+        max_steps=6,
+        trials=10,
+        seed=16,
+    ),
+}
+
+GOLDEN_DIGESTS = {
+    "gather": (
+        "c049f94a9d4c431d0b8ac0447f4e2a10702fc07539a682fd5076a39883b5280e",
+        "db398fa33555cbf0dbd8a5d4d06bcd903dd521a18f7aeaf4560d5dc502e57630",
+    ),
+    "scatter": (
+        "c6a225a8fbe0a11011ddf2ee78b65161dcf373943a0cb3eead0eea95ff660b4e",
+        "40305673693f23086ac2ec6d6dea2ec0c8c8ee0d8734aa8c592b4ddcbe09e294",
+    ),
+    "k-bounded": (
+        "43b539feb83194111bfc36e6709c9c46d2bb47e4d0c9f3ef072457c7c8130ff0",
+        "be0599fbb5c0bf8887f519ed4aa3e3a56f9916a1cedf7fbb92f1af63de2b57ae",
+    ),
+    "crash": (
+        "a1941796650094ca106d88220e34b071eb1cf6f4ca50143b8b94a0da90fbb769",
+        "d6343bb2a7c20f608a54d77c89a059511c92a5df17ecc2422a8fb99ad9927dfd",
+    ),
+    "byzantine": (
+        "4da9900695ccb573385d5e7f06cc74982197316457379265bb8c42bdd8cceccb",
+        "45e46e4f0ceb4b021ff6deed0c4afb455aee8b19d208b7fb2152b36f0069d337",
+    ),
+    "scripted": (
+        "7b0e75b0cff61fc299d1318272e12cdb9e7a46e78cc93705740fb137df845aac",
+        "5700735cd0ae1424a74101cf04120d83543750a577030c965cdaa82e0d3d8054",
+    ),
+}
+
+
+def _digests(name, out_dir):
+    config = ExperimentConfig(**GOLDEN_CONFIGS[name], out_dir=str(out_dir))
+    run_experiment(config)
+    return tuple(
+        hashlib.sha256((out_dir / filename).read_bytes()).hexdigest()
+        for filename in ("trials.csv", "summary.json")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_seeded_outputs_match_their_golden_digests(name, tmp_path):
+    assert _digests(name, tmp_path) == GOLDEN_DIGESTS[name]

@@ -77,6 +77,23 @@ def test_validation_checks_component_names_and_fault_targets():
         ExperimentConfig(n=2, trials=0).validate()
 
 
+@pytest.mark.parametrize("name", ["n", "trials", "max_steps", "seed", "workers"])
+def test_integer_fields_must_be_integers(name):
+    for bad in ("3", 3.0, True, None):
+        config = ExperimentConfig.from_dict({"n": 2, name: bad})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            config.validate()
+
+
+def test_parameterless_components_reject_parameters_at_config_time():
+    with pytest.raises(ConfigError, match="probabilistic"):
+        ExperimentConfig(
+            n=2, scheduler="probabilistic", scheduler_params={"bias": 0.5}
+        ).validate()
+    with pytest.raises(ConfigError, match="does not accept"):
+        ExperimentConfig(n=2, program_params={"denominator": "robots"}).validate()
+
+
 def test_layouts_produce_the_requested_positions():
     rng = random.Random(0)
     stacked = ExperimentConfig(

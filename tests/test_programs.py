@@ -99,23 +99,15 @@ def test_singleton_ties_move_with_one_over_positions_by_default():
     assert abs(moves / draws - 1 / 3) < 0.02
 
 
-def test_the_robots_denominator_divides_by_tied_robots_instead():
+def test_crowded_ties_divide_by_tied_positions_not_robots():
     a, b = Point(0.0, 0.0), Point(3.0, 0.0)
-    view = (a, a, b, b)
     rng = random.Random(23)
     draws = 30_000
     moves = sum(
-        multiplicity_gather_step(view, a, RandomSource(rng), coin_denominator="robots")
-        != a
+        multiplicity_gather_step((a, a, b, b), a, RandomSource(rng)) != a
         for _ in range(draws)
     )
-    assert abs(moves / draws - 1 / 4) < 0.02
-
-
-def test_multiplicity_rejects_unknown_denominators():
-    a = Point(0.0, 0.0)
-    with pytest.raises(ValueError, match="coin_denominator"):
-        multiplicity_gather_step((a,), a, source_with(), coin_denominator="sites")
+    assert abs(moves / draws - 1 / 2) < 0.02
 
 
 def test_scatter_moves_land_strictly_inside_the_cell():

@@ -57,19 +57,6 @@ def test_probabilistic_draws_are_uniform_over_nonempty_subsets():
         assert abs(counts[frozenset(subset)] / draws - 1 / 3) < 0.02
 
 
-def test_independent_coin_mode_never_returns_an_empty_set():
-    policy = ProbabilisticPolicy(independent_coins=True, activation_probability=0.05)
-    rng = random.Random(1)
-    for _ in range(2_000):
-        assert policy.next_activation(frozenset({0, 1}), rng)
-
-
-def test_activation_probability_must_be_strictly_inside_the_unit_interval():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            ProbabilisticPolicy(independent_coins=True, activation_probability=bad)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_k_bounded_policy_passes_its_own_audit(k):
     population = {0, 1, 2, 3, 4}
