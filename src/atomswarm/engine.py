@@ -240,7 +240,6 @@ def run(
     max_steps: int = 10_000,
     seed: int = 0,
     *,
-    coin_overrides: CoinOverrides | None = None,
     on_step: Callable[[dict], None] | None = None,
 ) -> TrialRecord:
     """Drive a full execution until the predicate holds or the horizon ends.
@@ -250,14 +249,17 @@ def run(
     triggers see the post-step configuration before the next scheduler
     query). Crashes scheduled for step 0 and Byzantine statuses from the plan
     are applied before the initial predicate check. ``steps`` counts scheduler
-    activations consumed.
+    activations consumed. A policy that carries ``coin_overrides`` (a scripted
+    one) has its coins applied to the programs it activates.
 
     ``rounds`` counts completed rounds. A round closes after the first step
     by which every robot that is still eligible (not crash-removed) has been
     activated at least once since the previous round closed; a partial round
     at the end does not count. A robot removed mid-round stops holding that
     round open, so the remaining robots can close it without it. Frozen
-    robots stay eligible, so a round still waits for their no-op turn.
+    robots stay eligible, so a round still waits for their no-op turn. Only
+    the fault plan changes statuses, and it fires after the round check, so
+    the eligible set a step was drawn from is also the one that closes it.
 
     ``on_step`` receives the start line, then one trace line per step whose
     ``activated`` field is the scheduler's choice at that step: the trace is
@@ -266,6 +268,7 @@ def run(
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     rng = random.Random(seed)
+    coin_overrides = getattr(policy, "coin_overrides", None)
     byzantine = dict(plan.byzantine) if plan is not None else {}
     robots = dict(initial.robots)
     for rid in byzantine:
@@ -293,7 +296,7 @@ def run(
         activated = frozenset(policy.next_activation(eligible, rng))
         config = step(config, activated, program, byzantine, rng, coin_overrides)
         seen |= activated
-        if config.eligible() <= seen:
+        if eligible <= seen:
             rounds += 1
             seen = set()
         if on_step is not None:

@@ -22,22 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .engine import (
-    CoinOverrides,
-    Configuration,
-    TrialRecord,
-    configuration_from_positions,
-    is_gathered,
-    is_scattered,
-)
-from .faults import FaultPlan, OscillatorStrategy, fault_plan_from_dict
+from .engine import TrialRecord, configuration_from_positions, is_gathered, is_scattered
+from .faults import FaultPlan, fault_plan_from_dict
 from .geometry import Point
 from .programs import make_program
 from .schedulers import (
     CentralizedFairPolicy,
     KBoundedPolicy,
     ProbabilisticPolicy,
-    ScriptedPolicy,
     audit,
     load_script,
     scripted_policy_from,
@@ -63,9 +55,9 @@ __all__ = [
     "read_trials_csv",
     "compare_to_theory",
     "simulate_once",
-    "build_counterexample",
+    "build_counterexample_script",
     "replay_counterexample",
-    "build_flip_flop_witness",
+    "build_flip_flop_script",
     "run_flip_flop_witness",
 ]
 
@@ -78,6 +70,7 @@ SCHEDULER_NAMES = ("centralized-fair", "probabilistic", "k-bounded", "scripted")
 LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
 PREDICATE_NAMES = ("gathering", "scattering")
 INTEGER_FIELDS = ("n", "trials", "max_steps", "seed", "workers")
+PARAMS_FIELDS = ("program_params", "scheduler_params", "layout_params")
 
 
 @dataclass
@@ -127,14 +120,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for name in ("n", "trials", "max_steps", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for name in PARAMS_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        if not isinstance(self.weak, bool):
+            raise ConfigError(f"weak must be true or false, got {self.weak!r}")
         if self.predicate not in PREDICATE_NAMES:
             raise ConfigError(
                 f"unknown predicate {self.predicate!r}; available: {', '.join(PREDICATE_NAMES)}"
@@ -264,7 +260,6 @@ def _execute_trial(config: ExperimentConfig, trial_seed: int, on_step=None) -> T
         predicate,
         config.max_steps,
         engine_seed,
-        coin_overrides=getattr(policy, "coin_overrides", None),
         on_step=on_step,
     )
 
@@ -465,17 +460,37 @@ def compare_to_theory(
     return TheoryComparison(metric, observed, oracle_value, ratio, (low, high), verdict)
 
 
-def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
-    """Single seeded run, optionally exporting a JSONL trace."""
+def _run_once(config: ExperimentConfig, on_step=None) -> TrialRecord:
+    """Validate, derive the one trial seed, and run that trial."""
     config.validate()
     trial_seed = derive_trial_seeds(config.seed, 1)[0]
-    if trace_path is None:
-        return _execute_trial(config, trial_seed)
-    with open(trace_path, "w") as fh:
-        def sink(line: dict) -> None:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+    return _execute_trial(config, trial_seed, on_step)
 
-        return _execute_trial(config, trial_seed, on_step=sink)
+
+def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
+    """Single seeded run, optionally exporting a JSONL trace."""
+    if trace_path is None:
+        return _run_once(config)
+    config.validate()  # before the trace file exists, so a bad config leaves none
+    with open(trace_path, "w") as fh:
+        return _run_once(config, lambda line: fh.write(json.dumps(line, sort_keys=True) + "\n"))
+
+
+def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, list[dict]]:
+    """Run a scenario config under its script on the ordinary trial path."""
+    config = ExperimentConfig(
+        **scenario, scheduler="scripted", scheduler_params={"script": script}, max_steps=max_steps
+    )
+    traces: list[dict] = []
+    return _run_once(config, traces.append), traces
+
+
+def _groups(trace: dict) -> dict[tuple, list[str]]:
+    """Robot ids of one trace line, grouped by position."""
+    groups: dict[tuple, list[str]] = {}
+    for rid, xy in trace["positions"].items():
+        groups.setdefault(tuple(xy), []).append(rid)
+    return groups
 
 
 # --- Byzantine oscillation scenario -------------------------------------
@@ -486,16 +501,21 @@ def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
 # (which rebalances back to two pairs). The population cycles forever and
 # weak gathering never holds.
 
-COUNTEREXAMPLE_POSITIONS = (
-    Point(0.0, 0.0),
-    Point(0.0, 0.0),
-    Point(1.0, 0.0),
-    Point(1.0, 0.0),
-)
 COUNTEREXAMPLE_BYZANTINE = 3
+COUNTEREXAMPLE_SCENARIO = {
+    "n": 4,
+    "program": "multiplicity-gather",
+    "layout": "explicit",
+    "layout_params": {"positions": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]},
+    "weak": True,
+    "faults": {
+        "f": 1,
+        "byzantine": [{"robot": COUNTEREXAMPLE_BYZANTINE, "strategy": "oscillator"}],
+    },
+}
 
 
-def build_counterexample_script(cycles: int) -> ScriptedPolicy:
+def build_counterexample_script(cycles: int) -> dict:
     """Activation script and forced coins for the oscillation scenario.
 
     Each 4-activation cycle interleaves two correct movers with two
@@ -503,53 +523,31 @@ def build_counterexample_script(cycles: int) -> ScriptedPolicy:
     hosting the Byzantine robot (its roommate must stay, or the correct
     robots would accidentally gather), least recently activated first. That
     selection keeps the script fair over any window of six or more steps and
-    exactly 3-bounded.
+    exactly 3-bounded. The result is in the ``scripted_policy_from`` schema.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     last_activated = {0: -1, 1: -1, 2: -1}
     roommate = 2
     activations = []
-    bits = {}
+    coins = []
     for half_cycle in range(2 * cycles):
         step = 2 * half_cycle
         pair = [r for r in last_activated if r != roommate]
         mover = min(pair, key=lambda r: (last_activated[r], r))
         last_activated[mover] = step
-        activations.append({mover})
-        bits[(step, mover)] = (1,)
-        activations.append({COUNTEREXAMPLE_BYZANTINE})
+        activations.append([mover])
+        coins.append({"step": step, "robot": mover, "bits": [1]})
+        activations.append([COUNTEREXAMPLE_BYZANTINE])
         roommate = next(r for r in pair if r != mover)
-    return ScriptedPolicy(activations, CoinOverrides(bits))
-
-
-def build_counterexample(cycles: int = 100):
-    """Initial configuration, scripted policy and fault plan for the scenario."""
-    initial = configuration_from_positions(COUNTEREXAMPLE_POSITIONS)
-    plan = FaultPlan(f=1, byzantine={COUNTEREXAMPLE_BYZANTINE: OscillatorStrategy()})
-    policy = build_counterexample_script(cycles)
-    return initial, policy, plan
+    return {"activations": activations, "coins": coins}
 
 
 def _two_pairs_with_byzantine(trace: dict) -> bool:
     """Does a trace line show two pairs, the Byzantine beside one correct robot?"""
-    groups: dict[tuple, list] = {}
-    byzantine_positions = []
-    for rid, xy in trace["positions"].items():
-        pos = tuple(xy)
-        groups.setdefault(pos, []).append(rid)
-        if trace["statuses"][rid] == "byzantine":
-            byzantine_positions.append(pos)
-    if len(groups) != 2 or sorted(len(g) for g in groups.values()) != [2, 2]:
-        return False
-    if len(byzantine_positions) != 1:
-        return False
-    mates = [
-        rid
-        for rid in groups[byzantine_positions[0]]
-        if trace["statuses"][rid] != "byzantine"
-    ]
-    return len(mates) == 1
+    sizes = sorted(len(group) for group in _groups(trace).values())
+    byzantine = [rid for rid in trace["positions"] if trace["statuses"][rid] == "byzantine"]
+    return sizes == [2, 2] and len(byzantine) == 1
 
 
 @dataclass(frozen=True)
@@ -577,18 +575,8 @@ def replay_counterexample(cycles: int = 100) -> CounterexampleReport:
     two robots each, the Byzantine sharing with exactly one correct robot.
     The activation history is audited for fairness and 3-boundedness.
     """
-    initial, policy, plan = build_counterexample(cycles)
-    traces: list[dict] = []
-    record = engine.run(
-        initial,
-        policy,
-        make_program("multiplicity-gather"),
-        plan,
-        predicate=partial(is_gathered, weak=True),
-        max_steps=4 * cycles,
-        seed=0,
-        coin_overrides=policy.coin_overrides,
-        on_step=traces.append,
+    record, traces = _replay(
+        COUNTEREXAMPLE_SCENARIO, build_counterexample_script(cycles), 4 * cycles
     )
     boundaries = range(4, 4 * cycles + 1, 4)
     isomorphic = 0
@@ -622,31 +610,29 @@ def replay_counterexample(cycles: int = 100) -> CounterexampleReport:
 # flipping the branch back. The branch alternates every step and gathering
 # never holds.
 
-FLIP_FLOP_POSITIONS = (
-    Point(0.0, 0.0),
-    Point(0.0, 0.0),
-    Point(100.0, 100.0),
-    Point(100.0, 100.0),
-)
-FLIP_FLOP_PARAMS = {"tie_break": "nearest", "radius": 1.0}
+FLIP_FLOP_SCENARIO = {
+    "n": 4,
+    "program": "flip-flop",
+    "program_params": {"tie_break": "nearest", "radius": 1.0},
+    "layout": "explicit",
+    "layout_params": {"positions": [[0.0, 0.0], [0.0, 0.0], [100.0, 100.0], [100.0, 100.0]]},
+    "weak": False,
+}
 
 
-def build_flip_flop_witness(cycles: int = 5):
-    """Initial configuration, scripted policy and program for the witness."""
+def build_flip_flop_script(cycles: int) -> dict:
+    """Activation script and forced coins for the witness, in the
+    ``scripted_policy_from`` schema: a forced full scatter, then one robot
+    per cluster, repeated ``cycles`` times."""
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     activations = []
-    bits = {}
+    coins = []
     for cycle in range(cycles):
-        step = 2 * cycle
-        activations.append({0, 1, 2, 3})
-        for rid in range(4):
-            bits[(step, rid)] = (1,)
-        activations.append({0, 2})
-    policy = ScriptedPolicy(activations, CoinOverrides(bits))
-    initial = configuration_from_positions(FLIP_FLOP_POSITIONS)
-    program = make_program("flip-flop", **FLIP_FLOP_PARAMS)
-    return initial, policy, program
+        activations.append([0, 1, 2, 3])
+        coins.extend({"step": 2 * cycle, "robot": rid, "bits": [1]} for rid in range(4))
+        activations.append([0, 2])
+    return {"activations": activations, "coins": coins}
 
 
 @dataclass(frozen=True)
@@ -660,7 +646,7 @@ class FlipFlopReport:
         return asdict(self)
 
 
-def run_flip_flop_witness(cycles: int = 5, seed: int = 7) -> FlipFlopReport:
+def run_flip_flop_witness(cycles: int = 5) -> FlipFlopReport:
     """Replay the witness and count branch alternations.
 
     Each executed step is classified from its pre-step configuration:
@@ -668,23 +654,10 @@ def run_flip_flop_witness(cycles: int = 5, seed: int = 7) -> FlipFlopReport:
     otherwise. The report is broken if fewer than 3 alternations occur or
     the run gathers.
     """
-    initial, policy, program = build_flip_flop_witness(cycles)
-    traces: list[dict] = []
-    record = engine.run(
-        initial,
-        policy,
-        program,
-        None,
-        predicate=is_gathered,
-        max_steps=2 * cycles,
-        seed=seed,
-        coin_overrides=policy.coin_overrides,
-        on_step=traces.append,
-    )
+    record, traces = _replay(FLIP_FLOP_SCENARIO, build_flip_flop_script(cycles), 2 * cycles)
     branches = []
     for trace in traces[: 2 * cycles]:
-        counts = Counter(tuple(xy) for xy in trace["positions"].values())
-        crowded = sum(1 for c in counts.values() if c >= 2)
+        crowded = sum(1 for group in _groups(trace).values() if len(group) >= 2)
         branches.append("scatter" if crowded >= 2 else "gather")
     oscillations = sum(1 for a, b in zip(branches, branches[1:]) if a != b)
     return FlipFlopReport(

@@ -8,7 +8,7 @@ fresh one per trial.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -69,55 +69,49 @@ class KBoundedPolicy:
     """One robot per step, kept k-bounded by construction.
 
     Between two consecutive activations of any robot, no other robot may run
-    more than k times. The policy tracks, for every waiting robot, how often
-    each other robot ran since the waiter's last turn, and picks uniformly
-    among the robots whose activation keeps every bound intact. A robot that
+    more than k times. Robot r is safe to pick when fewer than k of its turns
+    come after the earliest last turn among the other eligible robots (a
+    robot that never ran dates from just before it was first seen), and the
+    policy picks uniformly among the safe robots. That needs only a step
+    clock and each robot's last turn and k most recent turns. A robot that
     waited longest is always safe, so the candidate set is never empty.
+    Robots that leave the eligible set are forgotten.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._since: dict[RobotId, Counter] = {}
+        self._clock = 0
+        self._last: dict[RobotId, int] = {}
+        self._recent: dict[RobotId, deque] = {}
 
     def next_activation(self, eligible, rng):
         order = sorted(eligible)
         if not order:
             raise ValueError("eligible set must be nonempty")
-        population = set(order)
-        for gone in set(self._since) - population:
-            del self._since[gone]
-        for counters in self._since.values():
-            for gone in set(counters) - population:
-                del counters[gone]
-        safe = [
-            r
-            for r in order
-            if all(
-                self._since.get(waiting, _NO_COUNTS).get(r, 0) < self.k
-                for waiting in order
-                if waiting != r
-            )
-        ]
-        if not safe:
-            raise RuntimeError("no activation satisfies the k bound")
+        now, last, recent = self._clock, self._last, self._recent
+        for gone in last.keys() - eligible:
+            del last[gone], recent[gone]
+        for r in order:
+            if r not in last:
+                last[r], recent[r] = now - 1, deque(maxlen=self.k)
+        # Only r's others count, but the robot holding the earliest last turn
+        # has no turn after it, so the minimum over everyone gives the same set.
+        earliest = min(last.values())
+        safe = [r for r in order if len(recent[r]) < self.k or recent[r][0] <= earliest]
         pick = safe[rng.randrange(len(safe))] if len(safe) > 1 else safe[0]
-        for waiting in order:
-            if waiting != pick:
-                self._since.setdefault(waiting, Counter())[pick] += 1
-        self._since[pick] = Counter()
+        last[pick] = now
+        recent[pick].append(now)
+        self._clock = now + 1
         return frozenset((pick,))
-
-
-_NO_COUNTS: Counter = Counter()
 
 
 class ScriptedPolicy:
     """Replay of a fixed activation sequence; may be unfair on purpose.
 
-    Carries the coin overrides from its script so a runner can hand them to
-    the engine for derandomized replays.
+    Carries the coin overrides from its script; ``engine.run`` reads them
+    from the policy for derandomized replays.
     """
 
     def __init__(

@@ -14,8 +14,7 @@ from fractions import Fraction
 from atomswarm.engine import RandomSource
 from atomswarm.geometry import Point
 from atomswarm.harness import (
-    FLIP_FLOP_PARAMS,
-    FLIP_FLOP_POSITIONS,
+    FLIP_FLOP_SCENARIO,
     ExperimentConfig,
     compare_to_theory,
     replay_counterexample,
@@ -292,12 +291,8 @@ def test_criterion_11_worker_count_leaves_outputs_byte_identical(acceptance, tmp
 def test_criterion_12_flip_flop_oscillates_only_under_scripted_coins(acceptance):
     witness = run_flip_flop_witness(cycles=5)
     config = ExperimentConfig(
-        n=4,
-        program="flip-flop",
-        program_params=dict(FLIP_FLOP_PARAMS),
+        **FLIP_FLOP_SCENARIO,
         scheduler="probabilistic",
-        layout="explicit",
-        layout_params={"positions": [[p.x, p.y] for p in FLIP_FLOP_POSITIONS]},
         predicate="gathering",
         trials=500,
         max_steps=10_000,

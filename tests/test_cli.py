@@ -63,6 +63,23 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
     assert "config error: n must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"program_params": "x"}, "program_params must be a JSON object"),
+        ({"layout_params": [1]}, "layout_params must be a JSON object"),
+        ({"weak": "false"}, "weak must be true or false"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 2, **fields}))
+    code = main(["experiment", "--config", str(config)])
+    assert code == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_simulate_prints_convergence_and_final_positions(capsys, tmp_path):
     trace = tmp_path / "trace.jsonl"
     code = main(["simulate", *BASELINE_PAIR, "--seed", "3", "--trace", str(trace)])

@@ -80,6 +80,22 @@ GOLDEN_CONFIGS = {
         trials=10,
         seed=16,
     ),
+    "k-bounded-crash": dict(
+        n=8,
+        program="multiplicity-gather",
+        scheduler="k-bounded",
+        scheduler_params={"k": 2},
+        weak=True,
+        faults={
+            "f": 2,
+            "crashes": [
+                {"mode": "remove", "robot": 7, "at": 3},
+                {"mode": "freeze", "when": "max_group_reaches_alpha"},
+            ],
+        },
+        trials=30,
+        seed=17,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -106,6 +122,10 @@ GOLDEN_DIGESTS = {
     "scripted": (
         "7b0e75b0cff61fc299d1318272e12cdb9e7a46e78cc93705740fb137df845aac",
         "5700735cd0ae1424a74101cf04120d83543750a577030c965cdaa82e0d3d8054",
+    ),
+    "k-bounded-crash": (
+        "da25290049e6887d1881c47710cbb3270ec3d472deecc78c2fda180ef4f153e8",
+        "887e81aa9fddf64b7cdd9ea6be3abf7c9b32a59e2a969dc0d91241cfc684f50d",
     ),
 }
 

@@ -23,7 +23,7 @@ from atomswarm.harness import (
     simulate_once,
 )
 from atomswarm.markov import gathering_chain, hitting_time_birth_death
-from atomswarm.schedulers import audit
+from atomswarm.schedulers import audit, scripted_policy_from
 
 
 def baseline_pair_config(**overrides):
@@ -83,6 +83,26 @@ def test_integer_fields_must_be_integers(name):
         config = ExperimentConfig.from_dict({"n": 2, name: bad})
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             config.validate()
+
+
+@pytest.mark.parametrize("name", ["program_params", "scheduler_params", "layout_params"])
+def test_parameter_fields_must_be_json_objects(name):
+    for bad in ("x", [1], None, 3):
+        config = ExperimentConfig.from_dict({"n": 2, name: bad})
+        with pytest.raises(ConfigError, match=f"{name} must be a JSON object"):
+            config.validate()
+
+
+def test_weak_must_be_a_bool():
+    for bad in ("false", 0, 1, None):
+        config = ExperimentConfig.from_dict({"n": 2, "weak": bad})
+        with pytest.raises(ConfigError, match="weak must be true or false"):
+            config.validate()
+
+
+def test_negative_seeds_are_config_errors():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig(n=2, seed=-1).validate()
 
 
 def test_parameterless_components_reject_parameters_at_config_time():
@@ -296,7 +316,7 @@ def test_single_simulations_can_stream_traces(tmp_path):
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():
-    policy = build_counterexample_script(cycles=25)
+    policy = scripted_policy_from(build_counterexample_script(cycles=25))
     pool = frozenset({0, 1, 2, 3})
     rng = random.Random(0)
     history = [policy.next_activation(pool, rng) for _ in range(len(policy))]

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomswarm.schedulers import (
     CentralizedFairPolicy,
@@ -71,6 +73,48 @@ def test_one_bounded_scheduling_alternates_between_two_robots():
     history = collect(KBoundedPolicy(1), {0, 1}, 10)
     flat = [next(iter(s)) for s in history]
     assert all(a != b for a, b in zip(flat, flat[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    size=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_k_bounded_picks_uniformly_from_the_reference_safe_set(k, size, seed, data):
+    """Robots may leave the eligible set or join it late, but never rejoin."""
+    policy = KBoundedPolicy(k)
+    rng = random.Random(seed)
+    eligible = {0}
+    unseen = list(range(1, size))
+    first_eligible = {0: 0}
+    picks = []
+
+    def ran_since_last_turn_of(w, r):
+        """Turns of r since w's last turn, or since w was first eligible."""
+        turns = [t for t, who in enumerate(picks) if who == w]
+        since = turns[-1] + 1 if turns else first_eligible[w]
+        return picks[since:].count(r)
+
+    for now in range(data.draw(st.integers(1, 60), label="steps")):
+        if unseen and data.draw(st.booleans(), label="join"):
+            eligible.add(unseen.pop(0))
+        if len(eligible) > 1 and data.draw(st.booleans(), label="leave"):
+            eligible.discard(data.draw(st.sampled_from(sorted(eligible)), label="leaver"))
+        for r in eligible:
+            first_eligible.setdefault(r, now)
+        order = sorted(eligible)
+        safe = [
+            r
+            for r in order
+            if all(ran_since_last_turn_of(w, r) < k for w in order if w != r)
+        ]
+        rng_copy = random.Random()
+        rng_copy.setstate(rng.getstate())
+        expected = safe[rng_copy.randrange(len(safe))] if len(safe) > 1 else safe[0]
+        assert policy.next_activation(frozenset(eligible), rng) == {expected}
+        picks.append(expected)
 
 
 def test_k_bounded_rejects_k_below_one():
