@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -31,23 +31,36 @@ SAMPLE_ATTEMPTS = 1000
 MIN_SAMPLE_RADIUS = 1e-12
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A point in the plane. Ordering is lexicographic on (x, y)."""
+class Point(tuple):
+    """A point in the plane: an ``(x, y)`` tuple with finite coordinates.
 
-    x: float
-    y: float
+    Ordering is the tuple's lexicographic order on (x, y) and the hash is the
+    tuple hash, so a Point sorts, hashes and compares equal exactly like the
+    plain tuple ``(x, y)``.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float) -> "Point":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x!r}, {y!r})")
+        return tuple.__new__(cls, (x, y))
+
+    x = property(itemgetter(0), doc="The x coordinate.")
+    y = property(itemgetter(1), doc="The y coordinate.")
+
+    def __getnewargs__(self) -> tuple[float, float]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Point(x={self[0]!r}, y={self[1]!r})"
 
     def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return math.dist(self, other)
 
     def squared_distance_to(self, other: "Point") -> float:
-        dx = self.x - other.x
-        dy = self.y - other.y
+        dx = self[0] - other[0]
+        dy = self[1] - other[1]
         return dx * dx + dy * dy
 
 
@@ -78,8 +91,19 @@ def voronoi_cell_contains(site: Point, sites: Iterable[Point], q: Point) -> bool
     site_set = set(sites)
     if site not in site_set:
         raise ValueError("site must be one of the given sites")
-    d_own = q.squared_distance_to(site)
-    return all(d_own < q.squared_distance_to(s) for s in site_set if s != site)
+    qx, qy = q
+    sx, sy = site
+    dx = qx - sx
+    dy = qy - sy
+    d_own = dx * dx + dy * dy
+    for ox, oy in site_set:
+        if ox == sx and oy == sy:
+            continue
+        dx = qx - ox
+        dy = qy - oy
+        if not d_own < dx * dx + dy * dy:
+            return False
+    return True
 
 
 def default_sampling_radius(site: Point, sites: Iterable[Point]) -> float:
@@ -88,10 +112,11 @@ def default_sampling_radius(site: Point, sites: Iterable[Point]) -> float:
     Every point within this radius of the site lies strictly inside its cell,
     so sampling at this radius never rejects.
     """
-    others = [s for s in set(sites) if s != site]
+    others = set(sites)
+    others.discard(site)
     if not others:
         return 1.0
-    return min(site.distance_to(s) for s in others) / 2.0
+    return min([math.dist(site, s) for s in others]) / 2.0
 
 
 def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng) -> Point:
@@ -110,11 +135,12 @@ def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng
         raise ValueError("site must be one of the given sites")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    sx, sy = site
     while radius >= MIN_SAMPLE_RADIUS:
         for _ in range(SAMPLE_ATTEMPTS):
             r = radius * math.sqrt(rng.uniform(0.0, 1.0))
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            candidate = Point(site.x + r * math.cos(theta), site.y + r * math.sin(theta))
+            candidate = Point(sx + r * math.cos(theta), sy + r * math.sin(theta))
             if candidate != site and voronoi_cell_contains(site, site_set, candidate):
                 return candidate
         radius /= 2.0

@@ -149,36 +149,62 @@ class ExperimentConfig:
         return self
 
 
+def _layout_point(value, field: str, index: int | None = None) -> Point:
+    """An ``[x, y]`` entry of ``layout_params`` (item ``index`` of a list field) as a Point."""
+    try:
+        x, y = value
+        return Point(float(x), float(y))
+    except (TypeError, ValueError, OverflowError):
+        where = field if index is None else f"{field}[{index}]"
+        raise ConfigError(
+            f"layout_params.{where} must be an [x, y] pair of finite numbers, got {value!r}"
+        ) from None
+
+
+def _layout_list(params: dict, field: str, default):
+    value = params.get(field, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"layout_params.{field} must be a list, got {value!r}")
+    return value
+
+
 def build_initial(config: ExperimentConfig, rng: random.Random) -> list[Point]:
     """Initial positions for one trial; random layouts draw from ``rng``."""
     name, params, n = config.layout, config.layout_params, config.n
     if name == "all-at-one-point":
-        x, y = params.get("point", (0.0, 0.0))
-        return [Point(float(x), float(y))] * n
+        return [_layout_point(params.get("point", (0.0, 0.0)), "point")] * n
     if name == "two-groups":
-        sizes = params.get("sizes", (n - n // 2, n // 2))
-        points = params.get("points", ((0.0, 0.0), (1.0, 0.0)))
+        sizes = _layout_list(params, "sizes", (n - n // 2, n // 2))
+        points = _layout_list(params, "points", ((0.0, 0.0), (1.0, 0.0)))
         if len(sizes) != 2 or len(points) != 2:
             raise ConfigError("two-groups layout needs two sizes and two points")
+        for size in sizes:
+            if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+                raise ConfigError(f"layout_params.sizes must be non-negative integers, got {list(sizes)}")
         if sizes[0] + sizes[1] != n:
             raise ConfigError(f"two-groups sizes {list(sizes)} must sum to n={n}")
-        first, second = (Point(float(p[0]), float(p[1])) for p in points)
+        first, second = (_layout_point(p, "points", i) for i, p in enumerate(points))
         return [first] * sizes[0] + [second] * sizes[1]
     if name == "random-uniform":
         box = params.get("box", (0.0, 0.0, 1.0, 1.0))
-        if len(box) != 4 or not (box[0] < box[2] and box[1] < box[3]):
-            raise ConfigError("random-uniform box must be (xmin, ymin, xmax, ymax)")
-        return [
-            Point(rng.uniform(box[0], box[2]), rng.uniform(box[1], box[3]))
-            for _ in range(n)
-        ]
+        try:
+            xmin, ymin, xmax, ymax = map(float, box)
+            # Finite widths keep every uniform draw finite.
+            valid = 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"layout_params.box must be (xmin, ymin, xmax, ymax) with xmin < xmax and ymin < ymax, got {box!r}"
+            )
+        return [Point(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)) for _ in range(n)]
     if name == "explicit":
-        positions = params.get("positions")
-        if positions is None:
+        if "positions" not in params:
             raise ConfigError("explicit layout needs 'positions'")
+        positions = _layout_list(params, "positions", None)
         if len(positions) != n:
             raise ConfigError(f"explicit layout has {len(positions)} positions for n={n}")
-        return [Point(float(p[0]), float(p[1])) for p in positions]
+        return [_layout_point(p, "positions", i) for i, p in enumerate(positions)]
     raise ConfigError(f"unknown layout {name!r}; available: {', '.join(LAYOUT_NAMES)}")
 
 

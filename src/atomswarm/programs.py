@@ -94,10 +94,9 @@ def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None =
     position; by default half the distance to the nearest other occupied
     point, which makes every draw land inside the cell.
     """
-    view = sorted(obs)
     if random_bit(source) == 1:
         return self_pos
-    sites = sorted(set(view))
+    sites = sorted(set(obs))
     r = radius if radius is not None else default_sampling_radius(self_pos, sites)
     return sample_point_in_cell(self_pos, sites, r, source)
 
@@ -160,10 +159,9 @@ def make_program(name: str, **params):
     the first activation. The returned callable is picklable (a module-level
     function or a partial of one), so it can cross process boundaries.
     """
-    try:
-        base = PROGRAMS[name]
-    except KeyError:
-        raise ValueError(f"unknown program {name!r}; available: {', '.join(sorted(PROGRAMS))}") from None
+    base = PROGRAMS.get(name) if isinstance(name, str) else None
+    if base is None:
+        raise ValueError(f"unknown program {name!r}; available: {', '.join(sorted(PROGRAMS))}")
     if not params:
         return base
     allowed = {

@@ -70,6 +70,17 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
         ({"layout_params": [1]}, "layout_params must be a JSON object"),
         ({"weak": "false"}, "weak must be true or false"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"program": ["x"]}, "unknown program ['x']"),
+        ({"layout": "two-groups", "layout_params": {"sizes": 5}}, "layout_params.sizes"),
+        (
+            {"layout": "explicit", "layout_params": {"positions": [1, 2]}},
+            "layout_params.positions[0]",
+        ),
+        ({"layout_params": {"box": "abcd"}}, "layout_params.box"),
+        (
+            {"layout": "explicit", "layout_params": {"positions": [[0, 0], [1, 1e400]]}},
+            "layout_params.positions[1] must be an [x, y] pair of finite numbers",
+        ),
     ],
 )
 def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, message):

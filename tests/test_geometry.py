@@ -1,6 +1,7 @@
 """Geometry primitives: exact-equality occupancy and strict cell membership."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,10 @@ grid_points = st.builds(
     Point, st.integers(-50, 50).map(float), st.integers(-50, 50).map(float)
 )
 
+# A small integer grid: points collide often and equidistant ties are exact.
+small_grid = st.integers(-4, 4).map(float)
+tight_points = st.builds(Point, small_grid, small_grid)
+
 
 def test_point_rejects_non_finite_coordinates():
     for bad in (float("nan"), float("inf"), float("-inf")):
@@ -39,6 +44,40 @@ def test_point_ordering_is_lexicographic():
     assert Point(0.0, 5.0) < Point(1.0, 0.0)
     assert Point(1.0, 0.0) < Point(1.0, 2.0)
     assert min([Point(2.0, 0.0), Point(0.0, 3.0), Point(0.0, 1.0)]) == Point(0.0, 1.0)
+
+
+def test_point_is_an_xy_tuple():
+    p = Point(1.5, -2.0)
+    assert isinstance(p, tuple)
+    assert tuple(p) == (1.5, -2.0)
+    assert (p.x, p.y) == (1.5, -2.0)
+    assert repr(p) == "Point(x=1.5, y=-2.0)"
+    with pytest.raises(AttributeError):
+        p.x = 0.0
+
+
+@given(st.one_of(points, tight_points), st.one_of(points, tight_points))
+def test_point_order_equality_and_hash_are_those_of_the_plain_tuple(a, b):
+    ta, tb = (a.x, a.y), (b.x, b.y)
+    assert (a < b) == (ta < tb)
+    assert (a <= b) == (ta <= tb)
+    assert (a == b) == (ta == tb)
+    assert hash(a) == hash(ta)
+    assert sorted([a, b]) == sorted([ta, tb])
+
+
+@given(points)
+def test_points_pickle_round_trip(p):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(p, protocol))
+        assert type(copy) is Point
+        assert copy == p
+        assert repr(copy) == repr(p)
+
+
+@given(points, points)
+def test_distance_equals_hypot_bit_for_bit(a, b):
+    assert a.distance_to(b).hex() == math.hypot(a.x - b.x, a.y - b.y).hex()
 
 
 def test_distance_is_euclidean():
@@ -89,6 +128,27 @@ def test_every_site_lies_in_its_own_cell():
     sites = {Point(0.0, 0.0), Point(4.0, 0.0), Point(0.0, 4.0)}
     for site in sites:
         assert voronoi_cell_contains(site, sites, site)
+
+
+def reference_cell_contains(site, sites, q):
+    """Cell membership as a generator over attribute reads; the tuple loop must agree."""
+
+    def squared(a, b):
+        dx = a.x - b.x
+        dy = a.y - b.y
+        return dx * dx + dy * dy
+
+    site_set = set(sites)
+    if site not in site_set:
+        raise ValueError("site must be one of the given sites")
+    d_own = squared(q, site)
+    return all(d_own < squared(q, s) for s in site_set if s != site)
+
+
+@given(st.sets(tight_points, min_size=1, max_size=8), st.data(), tight_points)
+def test_cell_membership_matches_the_reference_including_exact_ties(sites, data, q):
+    site = data.draw(st.sampled_from(sorted(sites)))
+    assert voronoi_cell_contains(site, sites, q) == reference_cell_contains(site, sites, q)
 
 
 def test_default_sampling_radius_is_half_the_nearest_neighbor_distance():

@@ -96,6 +96,18 @@ GOLDEN_CONFIGS = {
         trials=30,
         seed=17,
     ),
+    # The nearest tie-break measures squared distances and takes a
+    # tuple-keyed min over the singleton positions.
+    "flip-flop-nearest": dict(
+        n=6,
+        program="flip-flop",
+        program_params={"tie_break": "nearest"},
+        scheduler="probabilistic",
+        layout="two-groups",
+        trials=20,
+        max_steps=200,
+        seed=18,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -126,6 +138,10 @@ GOLDEN_DIGESTS = {
     "k-bounded-crash": (
         "da25290049e6887d1881c47710cbb3270ec3d472deecc78c2fda180ef4f153e8",
         "887e81aa9fddf64b7cdd9ea6be3abf7c9b32a59e2a969dc0d91241cfc684f50d",
+    ),
+    "flip-flop-nearest": (
+        "e682f24c7ccc68d945155fd43a41fd92ac1a514e68102985bd749da0301ae528",
+        "6fbe13243ee61c869403730752d8c95d1d984c7ea8cc973c518e52445d6aaab7",
     ),
 }
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -170,6 +171,26 @@ def test_layout_validation_errors():
             ),
             rng,
         )
+
+
+@pytest.mark.parametrize(
+    "layout, params, message",
+    [
+        ("all-at-one-point", {"point": 5}, "layout_params.point must be an [x, y] pair"),
+        ("two-groups", {"sizes": [-1, 3]}, "layout_params.sizes must be non-negative integers"),
+        ("two-groups", {"sizes": [1.0, 1]}, "layout_params.sizes must be non-negative integers"),
+        ("two-groups", {"points": [[0, 0], "ab"]}, "layout_params.points[1] must be"),
+        ("random-uniform", {"box": [0, 0, "x", 1]}, "layout_params.box must be"),
+        ("random-uniform", {"box": [0, 0, float("inf"), 1]}, "layout_params.box must be"),
+        ("random-uniform", {"box": [0, 0, 10**400, 1]}, "layout_params.box must be"),
+        ("random-uniform", {"box": [-1e308, 0, 1e308, 1]}, "layout_params.box must be"),
+        ("explicit", {"positions": [[0, 0], [10**400, 0]]}, "layout_params.positions[1] must be"),
+    ],
+)
+def test_layout_params_of_the_wrong_shape_are_config_errors(layout, params, message):
+    config = ExperimentConfig(n=2, layout=layout, layout_params=params)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config.validate()
 
 
 def test_trial_seeds_are_deterministic_and_distinct():
