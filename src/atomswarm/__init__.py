@@ -15,7 +15,7 @@ hitting times, bounds) and :mod:`~atomswarm.harness` (experiments, stats,
 scenario replays) with :mod:`~atomswarm.cli` on top.
 """
 
-from . import cli, engine, faults, geometry, harness, markov, programs, schedulers
+from . import engine, faults, geometry, harness, markov, programs, schedulers
 from .engine import (
     Configuration,
     RandomSource,

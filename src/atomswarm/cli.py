@@ -110,13 +110,9 @@ def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
     config.trials = 1
     record = simulate_once(config, trace_path=args.trace)
-    positions = sorted(
-        (rid, (pos.x, pos.y)) for rid, (pos, _) in record.final.robots.items()
-    )
     print(f"converged={str(record.converged).lower()} steps={record.steps} rounds={record.rounds}")
-    for rid, (x, y) in positions:
-        status = record.final.status_of(rid).value
-        print(f"  robot {rid}: ({x:.6g}, {y:.6g}) [{status}]")
+    for rid, ((x, y), status) in record.final.robots.items():
+        print(f"  robot {rid}: ({x:.6g}, {y:.6g}) [{status.value}]")
     if args.trace:
         print(f"trace written to {args.trace}")
     return 0

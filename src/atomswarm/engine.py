@@ -66,20 +66,6 @@ class RandomSource:
 RobotProgram = Callable[[Observation, Point, RandomSource], Point]
 
 
-@dataclass(frozen=True)
-class CoinOverrides:
-    """Scripted coin outcomes keyed by (step index, robot id).
-
-    The step index is the value of ``Configuration.step_index`` before the
-    step executes, i.e. the position of the activation in the schedule.
-    """
-
-    bits: Mapping[tuple[int, RobotId], Sequence[int]]
-
-    def for_activation(self, step_index: int, robot: RobotId) -> Sequence[int] | None:
-        return self.bits.get((step_index, robot))
-
-
 class MotionStrategy(Protocol):
     """Destination rule for a Byzantine robot (sees the full configuration)."""
 
@@ -88,7 +74,11 @@ class MotionStrategy(Protocol):
 
 @dataclass(frozen=True)
 class Configuration:
-    """World state: robot id -> (position, status), plus the step counter."""
+    """World state: robot id -> (position, status), plus the step counter.
+
+    ``robots`` is in id order: ``configuration_from_positions`` enumerates
+    and every later configuration copies its predecessor's dict.
+    """
 
     robots: Mapping[RobotId, tuple[Point, RobotStatus]]
     step_index: int = 0
@@ -100,10 +90,11 @@ class Configuration:
         return self.robots[robot][1]
 
     def visible_items(self) -> list[tuple[RobotId, Point, RobotStatus]]:
-        """(id, position, status) for every non-removed robot, id order."""
+        """(id, position, status) for every non-removed robot, in the order
+        of ``robots`` (id order for every configuration built here)."""
         return [
             (rid, pos, status)
-            for rid, (pos, status) in sorted(self.robots.items())
+            for rid, (pos, status) in self.robots.items()
             if status is not RobotStatus.CRASHED_REMOVED
         ]
 
@@ -148,7 +139,7 @@ def step(
     program: RobotProgram,
     byzantine: Mapping[RobotId, MotionStrategy] | None = None,
     rng: random.Random | None = None,
-    coin_overrides: CoinOverrides | None = None,
+    coin_overrides: Mapping[tuple[int, RobotId], Sequence[int]] | None = None,
 ) -> Configuration:
     """Execute one atomic activation step.
 
@@ -156,6 +147,10 @@ def step(
     run ``program``; Byzantine robots follow their strategy; crash-frozen
     robots are legal to activate but do nothing. Activating a crash-removed
     robot violates the scheduler contract and raises.
+
+    ``coin_overrides`` maps ``(step index, robot id)`` to scripted coin bits
+    for that activation; the step index is ``config.step_index`` before the
+    step executes.
     """
     activated = sorted(set(activated))
     if not activated:
@@ -176,7 +171,7 @@ def step(
             strategy = byzantine.get(rid)
             dest = strategy.destination(config, rid) if strategy is not None else pos
         else:
-            bits = coin_overrides.for_activation(config.step_index, rid) if coin_overrides else None
+            bits = coin_overrides.get((config.step_index, rid)) if coin_overrides else None
             dest = program(view, pos, RandomSource(rng, bits))
         if not isinstance(dest, Point):
             dest = Point(*dest)
@@ -186,10 +181,7 @@ def step(
 
 def is_gathered(config: Configuration, weak: bool = False) -> bool:
     """Strong: all non-removed robots co-located. Weak: correct robots only."""
-    if weak:
-        positions = config.correct_positions()
-    else:
-        positions = list(config.snapshot())
+    positions = config.correct_positions() if weak else config.snapshot()
     return len(set(positions)) <= 1
 
 
@@ -219,7 +211,7 @@ def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
     """One JSONL trace line: step, activated ids, positions, statuses."""
     positions = {}
     statuses = {}
-    for rid, (pos, status) in sorted(config.robots.items()):
+    for rid, (pos, status) in config.robots.items():
         statuses[str(rid)] = status.value
         if status is not RobotStatus.CRASHED_REMOVED:
             positions[str(rid)] = [pos.x, pos.y]

@@ -42,6 +42,17 @@ class CrashMode(Enum):
 WORST_CASE_TRIGGER = "max_group_reaches_alpha"
 
 
+def _correct_groups(config: Configuration) -> tuple[dict[Point, list[RobotId]], int]:
+    """Ids of the correct robots at each position, and how many robots
+    (of any status) are still physically present."""
+    groups: dict[Point, list[RobotId]] = {}
+    present = config.visible_items()
+    for rid, pos, status in present:
+        if status is RobotStatus.CORRECT:
+            groups.setdefault(pos, []).append(rid)
+    return groups, len(present)
+
+
 def worst_case_crash_trigger(config: Configuration) -> bool:
     """True when the largest co-located group of correct robots has reached
     floor(n/2) + 1, n counting every robot still physically present.
@@ -51,33 +62,18 @@ def worst_case_crash_trigger(config: Configuration) -> bool:
     group it was struck from, otherwise a budget of f would always be spent
     on the very first formation event.
     """
-    total = 0
-    counts: Counter = Counter()
-    for _, pos, status in config.visible_items():
-        total += 1
-        if status is RobotStatus.CORRECT:
-            counts[pos] += 1
-    if not counts:
-        return False
-    return max(counts.values()) >= majority_threshold(total)
+    groups, present = _correct_groups(config)
+    return bool(groups) and max(map(len, groups.values())) >= majority_threshold(present)
 
 
 def _worst_case_victim(config: Configuration) -> RobotId:
     """Lowest-id correct robot in the largest correct group (lex-smallest
     position on ties). Deterministic, so replays agree."""
-    counts: Counter = Counter()
-    for _, pos, status in config.visible_items():
-        if status is RobotStatus.CORRECT:
-            counts[pos] += 1
-    if not counts:
+    groups, _ = _correct_groups(config)
+    if not groups:
         raise ValueError("no correct robot left to crash")
-    top = max(counts.values())
-    target_pos = min(pos for pos, c in counts.items() if c == top)
-    return min(
-        rid
-        for rid, pos, status in config.visible_items()
-        if status is RobotStatus.CORRECT and pos == target_pos
-    )
+    top = max(map(len, groups.values()))
+    return min(groups[min(pos for pos, ids in groups.items() if len(ids) == top)])
 
 
 @dataclass(frozen=True)
@@ -213,6 +209,13 @@ BYZANTINE_STRATEGIES = {
 }
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer field; floats and booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def fault_plan_from_dict(data: Mapping) -> FaultPlan:
     """Build a fault plan from its JSON object form.
 
@@ -229,7 +232,7 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
     if "f" not in data:
         raise ValueError("fault plan needs a declared budget 'f'")
     crashes = []
-    for entry in data.get("crashes", ()):
+    for index, entry in enumerate(data.get("crashes", ())):
         try:
             mode = CrashMode(entry["mode"])
         except KeyError:
@@ -242,13 +245,13 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
         crashes.append(
             CrashEvent(
                 mode,
-                robot=None if robot is None else int(robot),
+                robot=None if robot is None else _integer(robot, f"crashes[{index}].robot"),
                 at=entry.get("at"),
                 when=entry.get("when"),
             )
         )
     byzantine = {}
-    for entry in data.get("byzantine", ()):
+    for index, entry in enumerate(data.get("byzantine", ())):
         if "robot" not in entry:
             raise ValueError("byzantine entry needs a 'robot'")
         name = entry.get("strategy", "oscillator")
@@ -268,5 +271,5 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
                     f"{{\"moves\": {{step: [x, y]}}}} object, got {name!r}"
                 )
             strategy = ScriptedStrategy({int(s): Point(*p) for s, p in moves.items()})
-        byzantine[int(entry["robot"])] = strategy
-    return FaultPlan(int(data["f"]), tuple(crashes), byzantine)
+        byzantine[_integer(entry["robot"], f"byzantine[{index}].robot")] = strategy
+    return FaultPlan(_integer(data["f"], "f"), tuple(crashes), byzantine)

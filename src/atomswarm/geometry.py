@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 __all__ = [
     "Point",
@@ -80,23 +80,24 @@ def max_multiplicity_positions(occupancy: OccupancyMap) -> set[Point]:
     return {p for p, count in occupancy.items() if count == top}
 
 
-def voronoi_cell_contains(site: Point, sites: Iterable[Point], q: Point) -> bool:
+def voronoi_cell_contains(site: Point, sites: Collection[Point], q: Point) -> bool:
     """True iff q lies strictly closer to ``site`` than to every other site.
 
-    Cells are open: a point equidistant to two or more sites belongs to no
-    cell. A lone site owns the whole plane. The site itself always passes
-    this test, so callers that need ``q != site`` must check that
+    ``sites`` is any re-iterable collection (tuple, list or set) that
+    contains ``site``; it is read as given, so duplicates and order do not
+    matter. Cells are open: a point equidistant to two or more sites belongs
+    to no cell. A lone site owns the whole plane. The site itself always
+    passes this test, so callers that need ``q != site`` must check that
     separately.
     """
-    site_set = set(sites)
-    if site not in site_set:
+    if site not in sites:
         raise ValueError("site must be one of the given sites")
     qx, qy = q
     sx, sy = site
     dx = qx - sx
     dy = qy - sy
     d_own = dx * dx + dy * dy
-    for ox, oy in site_set:
+    for ox, oy in sites:
         if ox == sx and oy == sy:
             continue
         dx = qx - ox
@@ -106,20 +107,18 @@ def voronoi_cell_contains(site: Point, sites: Iterable[Point], q: Point) -> bool
     return True
 
 
-def default_sampling_radius(site: Point, sites: Iterable[Point]) -> float:
+def default_sampling_radius(site: Point, sites: Collection[Point]) -> float:
     """Half the distance to the nearest other site; 1.0 when the site is alone.
 
-    Every point within this radius of the site lies strictly inside its cell,
-    so sampling at this radius never rejects.
+    ``sites`` is read as given (duplicates and copies of ``site`` are
+    harmless). Every point within this radius of the site lies strictly
+    inside its cell, so sampling at this radius never rejects.
     """
-    others = set(sites)
-    others.discard(site)
-    if not others:
-        return 1.0
-    return min([math.dist(site, s) for s in others]) / 2.0
+    nearest = min((math.dist(site, s) for s in sites if s != site), default=None)
+    return 1.0 if nearest is None else nearest / 2.0
 
 
-def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng) -> Point:
+def sample_point_in_cell(site: Point, sites: Collection[Point], radius: float, rng) -> Point:
     """Uniform sample from the open Voronoi cell of ``site``, near the site.
 
     Draws uniformly from the disk of the given radius centred on the site and
@@ -128,10 +127,11 @@ def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng
     halved and sampling restarts; below ``MIN_SAMPLE_RADIUS`` the cell is
     reported as degenerate.
 
-    ``rng`` needs a ``uniform(low, high)`` method (``random.Random`` works).
+    ``sites`` is a re-iterable collection containing ``site``, read as given
+    on every draw. ``rng`` needs a ``uniform(low, high)`` method
+    (``random.Random`` works).
     """
-    site_set = set(sites)
-    if site not in site_set:
+    if site not in sites:
         raise ValueError("site must be one of the given sites")
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -141,7 +141,7 @@ def sample_point_in_cell(site: Point, sites: Iterable[Point], radius: float, rng
             r = radius * math.sqrt(rng.uniform(0.0, 1.0))
             theta = rng.uniform(0.0, 2.0 * math.pi)
             candidate = Point(sx + r * math.cos(theta), sy + r * math.sin(theta))
-            if candidate != site and voronoi_cell_contains(site, site_set, candidate):
+            if candidate != site and voronoi_cell_contains(site, sites, candidate):
                 return candidate
         radius /= 2.0
     raise ValueError("degenerate cell")

@@ -1,9 +1,10 @@
 """Oblivious robot programs.
 
 Each program is a pure rule mapping (observation, own position, randomness)
-to a destination point. No state survives between activations. Programs sort
-the observed positions before consuming any randomness, so their output
-distribution cannot depend on observation order.
+to a destination point. No state survives between activations. Programs
+read the observation as given, and their output must not depend on its order:
+a program sorts the view only to index into it or to sum floats over it;
+counting, membership and minima under a total key are order-free as they are.
 
 The ``source`` argument needs ``coin(p)``, ``choose(seq)`` and
 ``uniform(low, high)`` methods; the engine's per-activation randomness
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 
 from .geometry import (
     Point,
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 
+TIE_BREAKS = ("lexmin", "nearest")  # flip-flop's rules when every position is a singleton
+
+
 def random_bit(source) -> int:
     """Biased bit: 0 with probability 3/4, 1 with probability 1/4."""
     return 0 if source.coin(0.75) else 1
@@ -49,6 +54,7 @@ def baseline_gather_step(obs, self_pos: Point, source) -> Point:
     stay. A lone robot never moves. With two robots this moves with
     probability 1/2, so a pair meets after 2 activations in expectation.
     """
+    # Sorted because ``choose`` indexes into the view.
     view = sorted(obs)
     try:
         view.remove(self_pos)
@@ -72,9 +78,7 @@ def multiplicity_gather_step(obs, self_pos: Point, source) -> Point:
     deterministic move when the maximum is unique. |M| counts the tied
     positions, not the robots standing on them.
     """
-    view = sorted(obs)
-    occupancy = multiplicities(view)
-    tops = sorted(max_multiplicity_positions(occupancy))
+    tops = sorted(max_multiplicity_positions(multiplicities(obs)))
     if self_pos in tops and len(tops) > 1:
         if source.coin(1.0 / len(tops)):
             return source.choose([p for p in tops if p != self_pos])
@@ -96,13 +100,13 @@ def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None =
     """
     if random_bit(source) == 1:
         return self_pos
-    sites = sorted(set(obs))
-    r = radius if radius is not None else default_sampling_radius(self_pos, sites)
-    return sample_point_in_cell(self_pos, sites, r, source)
+    r = radius if radius is not None else default_sampling_radius(self_pos, obs)
+    return sample_point_in_cell(self_pos, obs, r, source)
 
 
 def barycenter_converge_step(obs, self_pos: Point, source) -> Point:
     """Move to the barycenter of all visible robots."""
+    # Sorted because float sums depend on the order of their terms.
     return barycenter(sorted(obs))
 
 
@@ -125,10 +129,9 @@ def flip_flop_step(
     - ``"nearest"``: the nearest other occupied position, ties broken
       lexicographically. A lone robot stays put.
     """
-    if tie_break not in ("lexmin", "nearest"):
+    if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be 'lexmin' or 'nearest', got {tie_break!r}")
-    view = sorted(obs)
-    occupancy = multiplicities(view)
+    occupancy = multiplicities(obs)
     crowded = [p for p, count in occupancy.items() if count >= 2]
     if len(crowded) >= 2:
         return voronoi_scatter_step(obs, self_pos, source, radius=radius)
@@ -155,9 +158,11 @@ PROGRAMS = {
 def make_program(name: str, **params):
     """Look up a program by name, binding keyword parameters if given.
 
-    Unknown names and parameters raise ValueError immediately rather than at
-    the first activation. The returned callable is picklable (a module-level
-    function or a partial of one), so it can cross process boundaries.
+    Unknown names and parameters, a ``radius`` that is not a positive finite
+    number and an unknown ``tie_break`` raise ValueError immediately rather
+    than at the first activation. The returned callable is picklable (a
+    module-level function or a partial of one), so it can cross process
+    boundaries.
     """
     base = PROGRAMS.get(name) if isinstance(name, str) else None
     if base is None:
@@ -174,4 +179,9 @@ def make_program(name: str, **params):
         raise ValueError(
             f"program {name!r} does not accept {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
+    radius = params.get("radius")
+    if radius is not None and not (type(radius) in (int, float) and 0 < radius < math.inf):
+        raise ValueError(f"program {name!r}: radius must be a positive finite number, got {radius!r}")
+    if params.get("tie_break", TIE_BREAKS[0]) not in TIE_BREAKS:
+        raise ValueError(f"program {name!r}: tie_break must be one of {TIE_BREAKS}, got {params['tie_break']!r}")
     return functools.partial(base, **params)

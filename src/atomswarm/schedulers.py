@@ -11,9 +11,9 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .engine import CoinOverrides, RobotId
+from .engine import RobotId
 
 __all__ = [
     "CentralizedFairPolicy",
@@ -79,8 +79,8 @@ class KBoundedPolicy:
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         self.k = k
         self._clock = 0
         self._last: dict[RobotId, int] = {}
@@ -110,14 +110,15 @@ class KBoundedPolicy:
 class ScriptedPolicy:
     """Replay of a fixed activation sequence; may be unfair on purpose.
 
-    Carries the coin overrides from its script; ``engine.run`` reads them
-    from the policy for derandomized replays.
+    Carries the coin overrides from its script, a ``{(step, robot): bits}``
+    mapping; ``engine.run`` reads them from the policy for derandomized
+    replays.
     """
 
     def __init__(
         self,
         activations: Sequence[Iterable[RobotId]],
-        coin_overrides: CoinOverrides | None = None,
+        coin_overrides: Mapping[tuple[int, RobotId], Sequence[int]] | None = None,
     ):
         self._script = [frozenset(a) for a in activations]
         if any(not a for a in self._script):
@@ -234,15 +235,12 @@ def scripted_policy_from(data: dict) -> ScriptedPolicy:
         activations = data["activations"]
     except KeyError as exc:
         raise ValueError("script needs an 'activations' list") from exc
-    overrides = None
-    if data.get("coins"):
-        bits = {}
-        for entry in data["coins"]:
-            key = (int(entry["step"]), int(entry["robot"]))
-            if key in bits:
-                raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
-            bits[key] = tuple(int(b) for b in entry["bits"])
-        overrides = CoinOverrides(bits)
+    overrides = {}
+    for entry in data.get("coins") or ():
+        key = (int(entry["step"]), int(entry["robot"]))
+        if key in overrides:
+            raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
+        overrides[key] = tuple(int(b) for b in entry["bits"])
     return ScriptedPolicy([frozenset(int(r) for r in a) for a in activations], overrides)
 
 

@@ -1,9 +1,14 @@
 """End to end checks of the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import atomswarm
 from atomswarm.cli import main
 
 BASELINE_PAIR = [
@@ -89,6 +94,43 @@ def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, mess
     code = main(["experiment", "--config", str(config)])
     assert code == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"scheduler": "k-bounded", "scheduler_params": {"k": 2.5}},
+        {"program": "voronoi-scatter", "program_params": {"radius": -1}},
+        {"faults": {"f": 1, "crashes": [{"mode": "freeze", "robot": 1.7, "at": 0}]}},
+    ],
+)
+def test_bad_parameter_values_fail_before_any_trial_runs(capsys, tmp_path, fields):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 4, "trials": 2, "max_steps": 50, **fields}))
+    code = main(["experiment", "--config", str(config)])
+    assert code == 1
+    assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chain", "--chain", "gathering", "--n", "4"],
+        ["counterexample", "--scenario", "flip-flop", "--cycles", "5"],
+    ],
+)
+def test_module_entry_point_runs_without_warnings(args):
+    src = str(Path(atomswarm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "atomswarm.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_simulate_prints_convergence_and_final_positions(capsys, tmp_path):

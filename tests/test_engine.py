@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from atomswarm.engine import (
-    CoinOverrides,
     Configuration,
     RandomSource,
     RobotStatus,
@@ -58,11 +57,18 @@ def test_choose_rejects_empty_sequences():
         RandomSource(random.Random(0)).choose([])
 
 
+def coin_mover(view, me, source):
+    """Test program: step one unit right iff a probability-0 coin succeeds."""
+    return Point(me.x + 1.0, me.y) if source.coin(0.0) else me
+
+
 def test_coin_overrides_are_keyed_by_step_and_robot():
-    overrides = CoinOverrides({(3, 1): (1, 1)})
-    assert overrides.for_activation(3, 1) == (1, 1)
-    assert overrides.for_activation(3, 2) is None
-    assert overrides.for_activation(2, 1) is None
+    overrides = {(3, 1): (1,)}
+    start = configuration_from_positions([(0.0, 0.0)] * 3)
+    for step_index, movers in ((3, [1]), (2, [])):
+        config = Configuration(start.robots, step_index)
+        after = step(config, {0, 1, 2}, coin_mover, rng=random.Random(0), coin_overrides=overrides)
+        assert [rid for rid in after.robots if after.position_of(rid) != Point(0.0, 0.0)] == movers
 
 
 def test_configuration_from_positions_assigns_ids_in_order():

@@ -151,6 +151,30 @@ def test_cell_membership_matches_the_reference_including_exact_ties(sites, data,
     assert voronoi_cell_contains(site, sites, q) == reference_cell_contains(site, sites, q)
 
 
+@settings(deadline=None)
+@given(
+    st.lists(tight_points, min_size=1, max_size=8),
+    st.data(),
+    tight_points,
+    st.sampled_from([None, 0.25, 3.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_helpers_read_sites_as_given(sites, data, q, radius, seed):
+    """A list with duplicates, a set and a sorted list of the same sites agree."""
+    site = data.draw(st.sampled_from(sites))
+    extra = data.draw(st.lists(st.sampled_from(sites), max_size=4))
+    forms = [sites + extra, set(sites), sorted(set(sites))]
+    assert len({voronoi_cell_contains(site, form, q) for form in forms}) == 1
+    radii = {default_sampling_radius(site, form) for form in forms}
+    assert len(radii) == 1
+    radius = radius or radii.pop()
+    draws = set()
+    for form in forms:
+        rng = random.Random(seed)
+        draws.add((sample_point_in_cell(site, form, radius, rng), rng.getstate()))
+    assert len(draws) == 1
+
+
 def test_default_sampling_radius_is_half_the_nearest_neighbor_distance():
     sites = [Point(0.0, 0.0), Point(3.0, 0.0), Point(10.0, 0.0)]
     assert default_sampling_radius(sites[0], sites) == 1.5

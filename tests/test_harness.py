@@ -115,6 +115,37 @@ def test_parameterless_components_reject_parameters_at_config_time():
         ExperimentConfig(n=2, program_params={"denominator": "robots"}).validate()
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"scheduler": "k-bounded", "scheduler_params": {"k": 2.5}}, "k must be an integer"),
+        ({"program": "voronoi-scatter", "program_params": {"radius": -1}}, "radius must be"),
+        ({"program": "voronoi-scatter", "program_params": {"radius": 0}}, "radius must be"),
+        ({"program": "voronoi-scatter", "program_params": {"radius": "x"}}, "radius must be"),
+        ({"program": "flip-flop", "program_params": {"radius": float("inf")}}, "radius must be"),
+        ({"program": "flip-flop", "program_params": {"radius": True}}, "radius must be"),
+        ({"program": "flip-flop", "program_params": {"tie_break": "bogus"}}, "tie_break must be"),
+        (
+            {"faults": {"f": 1, "crashes": [{"mode": "freeze", "robot": 1.7, "at": 0}]}},
+            r"crashes\[0\]\.robot must be an integer",
+        ),
+        (
+            {"faults": {"f": 1, "crashes": [{"mode": "freeze", "robot": True, "at": 0}]}},
+            r"crashes\[0\]\.robot must be an integer",
+        ),
+        (
+            {"faults": {"f": 1, "byzantine": [{"robot": 0.5}]}},
+            r"byzantine\[0\]\.robot must be an integer",
+        ),
+        ({"faults": {"f": 1.5}}, "f must be an integer"),
+    ],
+)
+def test_parameter_values_are_checked_at_config_time(fields, message):
+    config = ExperimentConfig.from_dict({"n": 4, "trials": 2, "max_steps": 50, **fields})
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+
+
 def test_layouts_produce_the_requested_positions():
     rng = random.Random(0)
     stacked = ExperimentConfig(

@@ -1,9 +1,12 @@
 """Robot decision rules: move targets, tie handling, coin calibration."""
 
+import functools
 import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from atomswarm.engine import RandomSource
 from atomswarm.geometry import Point, voronoi_cell_contains
@@ -21,6 +24,28 @@ from atomswarm.programs import (
 
 def source_with(bits=None, seed=0):
     return RandomSource(random.Random(seed), bits=bits)
+
+
+# A small integer grid: robots share positions often and distance ties are exact.
+grid = st.integers(-3, 3).map(float)
+views = st.lists(st.builds(Point, grid, grid), min_size=1, max_size=8)
+
+ORDER_CHECKED = {
+    **PROGRAMS,
+    "flip-flop-nearest": functools.partial(flip_flop_step, tie_break="nearest"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CHECKED))
+@given(obs=views, data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_programs_do_not_depend_on_observation_order(name, obs, data, seed):
+    program = ORDER_CHECKED[name]
+    me = data.draw(st.sampled_from(obs))
+    outcomes = set()
+    for view in (tuple(obs), tuple(data.draw(st.permutations(obs)))):
+        rng = random.Random(seed)
+        outcomes.add((program(view, me, RandomSource(rng)), rng.getstate()))
+    assert len(outcomes) == 1
 
 
 def test_random_bit_is_zero_three_quarters_of_the_time():

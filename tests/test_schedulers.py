@@ -199,7 +199,7 @@ def test_script_files_round_trip(tmp_path):
     path.write_text(json.dumps(data))
     policy = load_script(path)
     assert len(policy) == 3
-    assert policy.coin_overrides.for_activation(0, 0) == (1, 0)
+    assert policy.coin_overrides == {(0, 0): (1, 0)}
 
 
 def test_duplicate_coin_overrides_are_rejected():
