@@ -241,12 +241,12 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
             raise ValueError(
                 f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'"
             ) from None
-        robot = entry.get("robot")
+        robot, at = entry.get("robot"), entry.get("at")
         crashes.append(
             CrashEvent(
                 mode,
                 robot=None if robot is None else _integer(robot, f"crashes[{index}].robot"),
-                at=entry.get("at"),
+                at=None if at is None else _integer(at, f"crashes[{index}].at"),
                 when=entry.get("when"),
             )
         )

@@ -1,9 +1,10 @@
 """Experiment harness: configs, batch trial running, statistics, scenarios.
 
-An experiment is described by a plain-data config (JSON friendly), expanded
-per trial into fresh policy/program/plan objects. Trial seeds are derived
-from the experiment seed through independent substreams, so a batch replays
-identically for any worker count and trial order.
+An experiment is described by a plain-data config (JSON friendly). Trials
+run in contiguous chunks; a chunk builds the config's stateless plan,
+program and predicate once and a fresh policy per trial. Trial seeds are
+derived from the experiment seed through independent substreams, so a batch
+replays identically for any worker count and trial order.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import random
 import statistics
 from collections import Counter
@@ -263,19 +265,86 @@ def build_predicate(name: str, weak: bool):
     return partial(base, weak=True) if weak else base
 
 
+# numpy's SeedSequence constants (pool size 4, 32-bit words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of ``value``; returns it with the next hash constant."""
+    value = value ^ const
+    const = const * _MULT_A
+    value = value * const
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
 def derive_trial_seeds(seed: int, trials: int) -> list[int]:
-    """Independent 64-bit seeds, one per trial, from spawned substreams."""
-    root = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1, np.uint64)[0]) for child in root.spawn(trials)]
+    """Independent 64-bit seeds, one per trial, from spawned substreams.
+
+    Trial i gets ``SeedSequence(seed).spawn(trials)[i].generate_state(1,
+    np.uint64)[0]``. The children differ only in their spawn key ``(i,)``,
+    the last entropy word, so the pool state before that word is hashed once
+    and the rest of numpy's uint32 hash runs vectorised over all keys.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if trials > 2**32:
+        raise ConfigError(f"trials must be at most 2**32 (one 32-bit spawn key word), got {trials}")
+    words = [np.uint32((seed >> shift) & 0xFFFF_FFFF) for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # A spawned child pads the seed's words to the pool size before its key.
+    words += [np.uint32(0)] * (_POOL_SIZE - len(words))
+    keys = np.arange(trials, dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        const = _INIT_A
+        pool = []
+        for word in words[:_POOL_SIZE]:
+            value, const = _hashmix(word, const)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in [*words[_POOL_SIZE:], keys]:
+            for dst in range(_POOL_SIZE):
+                value, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], value)
+        const = _INIT_B
+        halves = []
+        for word in pool[:2]:
+            value = word ^ const
+            const = const * _MULT_B
+            value = value * const
+            halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return (halves[0] | (halves[1] << np.uint64(32))).tolist()
 
 
-def _execute_trial(config: ExperimentConfig, trial_seed: int, on_step=None) -> TrialRecord:
+def _shared_parts(config: ExperimentConfig) -> tuple:
+    """The plan, program and predicate of a config: stateless, so every trial shares them."""
+    return (
+        build_plan(config.faults),
+        build_program(config.program, config.program_params),
+        build_predicate(config.predicate, config.weak),
+    )
+
+
+def _execute_trial(
+    config: ExperimentConfig, trial_seed: int, on_step=None, parts: tuple | None = None
+) -> TrialRecord:
     rng = random.Random(trial_seed)
     positions = build_initial(config, rng)
-    plan = build_plan(config.faults)
+    plan, program, predicate = parts or _shared_parts(config)
     policy = build_policy(config.scheduler, config.scheduler_params)
-    program = build_program(config.program, config.program_params)
-    predicate = build_predicate(config.predicate, config.weak)
     initial = configuration_from_positions(positions)
     engine_seed = rng.randrange(2**63)
     return engine.run(
@@ -290,10 +359,16 @@ def _execute_trial(config: ExperimentConfig, trial_seed: int, on_step=None) -> T
     )
 
 
-def run_single_trial(config: ExperimentConfig, trial_index: int, trial_seed: int) -> dict:
-    """One trial as a flat record; failures are recorded, not raised."""
+def run_single_trial(
+    config: ExperimentConfig, trial_index: int, trial_seed: int, parts: tuple | None = None
+) -> dict:
+    """One trial as a flat record; failures are recorded, not raised.
+
+    ``parts`` is the config's ``_shared_parts`` when the caller built them
+    once for many trials; without it the trial builds its own.
+    """
     try:
-        record = _execute_trial(config, trial_seed)
+        record = _execute_trial(config, trial_seed, parts=parts)
     except Exception as exc:
         return {
             "trial_id": trial_index,
@@ -363,23 +438,36 @@ def aggregate_trials(records: list[dict]) -> TrialStats:
     )
 
 
+# Chunks per worker: enough to even out the workers' loads, few enough that
+# each chunk's start-up (pickling the config, building the shared parts) is small.
+CHUNKS_PER_WORKER = 8
+
+
+def _run_chunk(config: ExperimentConfig, chunk: tuple[int, list[int]]) -> list[dict]:
+    """Records of the trials ``first, first + 1, ...`` with the given seeds, in order."""
+    first, seeds = chunk
+    parts = _shared_parts(config)
+    return [run_single_trial(config, first + i, seed, parts) for i, seed in enumerate(seeds)]
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, list[dict]]:
     """Run the whole batch, aggregate, and write outputs if requested.
 
-    Results depend only on the config content and seed: trials are keyed by
-    derived per-trial seeds and re-sorted by trial id, so any worker count
-    produces the same records.
+    Results depend only on the config content and seed: each trial runs from
+    its derived seed alone, in contiguous chunks of trial ids that come back
+    in order, so any worker count produces the same records.
     """
     config.validate()
     seeds = derive_trial_seeds(config.seed, config.trials)
+    size = -(-config.trials // (config.workers * CHUNKS_PER_WORKER))
+    chunks = [(first, seeds[first : first + size]) for first in range(0, config.trials, size)]
+    run_chunk = partial(_run_chunk, config)
     if config.workers > 1:
-        chunk = max(1, config.trials // (config.workers * 8))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            trial = partial(run_single_trial, config)
-            records = list(pool.map(trial, range(config.trials), seeds, chunksize=chunk))
+            done = list(pool.map(run_chunk, chunks))
     else:
-        records = [run_single_trial(config, i, s) for i, s in enumerate(seeds)]
-    records.sort(key=lambda r: r["trial_id"])
+        done = map(run_chunk, chunks)
+    records = [record for chunk in done for record in chunk]
     stats = aggregate_trials(records)
     if config.out_dir is not None:
         write_outputs(config, stats, records, config.out_dir)

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import RobotId
+from .faults import _integer
 
 __all__ = [
     "CentralizedFairPolicy",
@@ -227,21 +228,25 @@ def scripted_policy_from(data: dict) -> ScriptedPolicy:
     """Build a scripted policy from its JSON object form.
 
     Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
-    "robot": r, "bits": [...]}, ...]}``. Coin bits are consumed in order by
-    the program's binary decisions at that activation; bit 1 means the coin
-    succeeds (the guarded branch is taken).
+    "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
+    integers; a float or a boolean is rejected, not truncated. Coin bits are
+    consumed in order by the program's binary decisions at that activation;
+    bit 1 means the coin succeeds (the guarded branch is taken).
     """
     try:
         activations = data["activations"]
     except KeyError as exc:
         raise ValueError("script needs an 'activations' list") from exc
     overrides = {}
-    for entry in data.get("coins") or ():
-        key = (int(entry["step"]), int(entry["robot"]))
+    for i, entry in enumerate(data.get("coins") or ()):
+        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot"))
         if key in overrides:
             raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
-        overrides[key] = tuple(int(b) for b in entry["bits"])
-    return ScriptedPolicy([frozenset(int(r) for r in a) for a in activations], overrides)
+        overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(entry["bits"]))
+    return ScriptedPolicy(
+        [frozenset(_integer(r, f"activations[{i}][{j}]") for j, r in enumerate(a)) for i, a in enumerate(activations)],
+        overrides,
+    )
 
 
 def load_script(path) -> ScriptedPolicy:

@@ -5,10 +5,14 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atomswarm.geometry import Point
 from atomswarm.harness import (
+    CHUNKS_PER_WORKER,
     ConfigError,
     ExperimentConfig,
     aggregate_trials,
@@ -138,6 +142,49 @@ def test_parameterless_components_reject_parameters_at_config_time():
             r"byzantine\[0\]\.robot must be an integer",
         ),
         ({"faults": {"f": 1.5}}, "f must be an integer"),
+        (
+            {"faults": {"f": 1, "crashes": [{"mode": "freeze", "robot": 0, "at": 2.5}]}},
+            r"crashes\[0\]\.at must be an integer",
+        ),
+        (
+            {"faults": {"f": 1, "crashes": [{"mode": "freeze", "robot": 0, "at": True}]}},
+            r"crashes\[0\]\.at must be an integer",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[1.7], [True]]}}},
+            r"activations\[0\]\[0\] must be an integer",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[1], [True]]}}},
+            r"activations\[1\]\[0\] must be an integer",
+        ),
+        (
+            {
+                "scheduler": "scripted",
+                "scheduler_params": {
+                    "script": {"activations": [[0]], "coins": [{"step": 0.5, "robot": 0, "bits": [1]}]}
+                },
+            },
+            r"coins\[0\]\.step must be an integer",
+        ),
+        (
+            {
+                "scheduler": "scripted",
+                "scheduler_params": {
+                    "script": {"activations": [[0]], "coins": [{"step": 0, "robot": False, "bits": [1]}]}
+                },
+            },
+            r"coins\[0\]\.robot must be an integer",
+        ),
+        (
+            {
+                "scheduler": "scripted",
+                "scheduler_params": {
+                    "script": {"activations": [[0]], "coins": [{"step": 0, "robot": 0, "bits": [1, 0.5]}]}
+                },
+            },
+            r"coins\[0\]\.bits\[1\] must be an integer",
+        ),
     ],
 )
 def test_parameter_values_are_checked_at_config_time(fields, message):
@@ -229,6 +276,17 @@ def test_trial_seeds_are_deterministic_and_distinct():
     assert seeds == derive_trial_seeds(42, 500)
     assert len(set(seeds)) == 500
     assert derive_trial_seeds(43, 10) != derive_trial_seeds(42, 10)
+    # Trial indices past 2**32 - 1 would need a two-word spawn key.
+    with pytest.raises(ConfigError, match="trials must be at most"):
+        derive_trial_seeds(42, 2**32 + 1)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=1, max_value=700))
+def test_trial_seeds_are_numpy_seed_sequence_spawn_states(seed, trials):
+    children = np.random.SeedSequence(seed).spawn(trials)
+    expected = [int(child.generate_state(1, np.uint64)[0]) for child in children]
+    assert derive_trial_seeds(seed, trials) == expected
 
 
 def test_single_trials_replay_identically():
@@ -240,9 +298,10 @@ def test_single_trials_replay_identically():
     assert "error" not in first
 
 
-def test_trial_failures_are_recorded_not_raised():
-    config = baseline_pair_config(
-        trials=1,
+def script_exhausted_config(trials):
+    """A pair whose one-step script runs out before it gathers: every trial errors."""
+    return baseline_pair_config(
+        trials=trials,
         scheduler="scripted",
         scheduler_params={
             "script": {
@@ -251,9 +310,36 @@ def test_trial_failures_are_recorded_not_raised():
             }
         },
     )
+
+
+def test_trial_failures_are_recorded_not_raised():
+    config = script_exhausted_config(trials=1)
     record = run_single_trial(config, 0, 1)
     assert record["converged"] is False
     assert "script exhausted" in record["error"]
+
+
+def _records_at_each_worker_count(config):
+    """The batch's records at 1, 2 and 3 workers; all three must be equal."""
+    for workers in (1, 2, 3):
+        # A ragged last chunk must come back in place too.
+        assert config.trials % -(-config.trials // (workers * CHUNKS_PER_WORKER))
+    runs = [run_experiment(dataclasses.replace(config, workers=w))[1] for w in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    return runs[0]
+
+
+def test_chunked_batches_return_the_same_records_at_any_worker_count():
+    records = _records_at_each_worker_count(baseline_pair_config(trials=37))
+    assert [r["trial_id"] for r in records] == list(range(37))
+    assert [r["seed"] for r in records] == derive_trial_seeds(11, 37)
+    assert all(r["converged"] for r in records)
+
+
+def test_chunked_batches_keep_each_error_row_at_its_trial():
+    records = _records_at_each_worker_count(script_exhausted_config(trials=37))
+    assert [r["trial_id"] for r in records] == list(range(37))
+    assert all(not r["converged"] and "script exhausted" in r["error"] for r in records)
 
 
 def test_experiments_aggregate_and_order_their_records():
