@@ -1,10 +1,11 @@
 """Experiment harness: configs, batch trial running, statistics, scenarios.
 
-An experiment is described by a plain-data config (JSON friendly). Trials
-run in contiguous chunks; a chunk builds the config's stateless plan,
-program and predicate once and a fresh policy per trial. Trial seeds are
-derived from the experiment seed through independent substreams, so a batch
-replays identically for any worker count and trial order.
+An experiment is described by a plain-data config (JSON friendly).
+``ExperimentConfig.build()`` checks it and builds its stateless fault plan,
+program and predicate once per batch; trials run in contiguous chunks that
+all receive those parts, and each trial builds a fresh policy. Trial seeds
+are derived from the experiment seed through independent substreams, so a
+batch replays identically for any worker count and trial order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import engine
 from .engine import TrialRecord, configuration_from_positions, is_gathered, is_scattered
-from .faults import FaultPlan, fault_plan_from_dict
+from .faults import fault_plan_from_dict
 from .geometry import Point
 from .programs import make_program
 from .schedulers import (
@@ -46,8 +47,6 @@ __all__ = [
     "FlipFlopReport",
     "build_initial",
     "build_policy",
-    "build_program",
-    "build_plan",
     "build_predicate",
     "derive_trial_seeds",
     "run_single_trial",
@@ -68,7 +67,13 @@ class ConfigError(ValueError):
     """An experiment configuration that cannot be run."""
 
 
-SCHEDULER_NAMES = ("centralized-fair", "probabilistic", "k-bounded", "scripted")
+# Schedulers built from their parameters as keyword arguments; "scripted" reads a script.
+SCHEDULER_CLASSES = {
+    "centralized-fair": CentralizedFairPolicy,
+    "probabilistic": ProbabilisticPolicy,
+    "k-bounded": KBoundedPolicy,
+}
+SCHEDULER_NAMES = (*SCHEDULER_CLASSES, "scripted")
 LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
 PREDICATE_NAMES = ("gathering", "scattering")
 INTEGER_FIELDS = ("n", "trials", "max_steps", "seed", "workers")
@@ -117,7 +122,13 @@ class ExperimentConfig:
             del data["workers"]
         return data
 
-    def validate(self) -> "ExperimentConfig":
+    def build(self) -> tuple:
+        """Check the config and build the ``(plan, program, predicate)`` every trial shares.
+
+        This is where outside input becomes a ConfigError: every field is
+        checked here, and a policy and an initial layout are built once to
+        check their parameters, so a bad value fails here and not in a trial.
+        """
         for name in INTEGER_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -131,15 +142,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        if self.faults is not None and not isinstance(self.faults, dict):
+            raise ConfigError(f"faults must be a JSON object or null, got {self.faults!r}")
         if not isinstance(self.weak, bool):
             raise ConfigError(f"weak must be true or false, got {self.weak!r}")
-        if self.predicate not in PREDICATE_NAMES:
-            raise ConfigError(
-                f"unknown predicate {self.predicate!r}; available: {', '.join(PREDICATE_NAMES)}"
-            )
-        build_program(self.program, self.program_params)
+        predicate = build_predicate(self.predicate, self.weak)
+        try:
+            program = make_program(self.program, **self.program_params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         build_policy(self.scheduler, self.scheduler_params)
-        plan = build_plan(self.faults)
+        try:
+            plan = None if self.faults is None else fault_plan_from_dict(self.faults)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad fault plan: {exc}") from None
         if plan is not None:
             for rid in plan.byzantine:
                 if not 0 <= rid < self.n:
@@ -148,6 +164,11 @@ class ExperimentConfig:
                 if event.robot is not None and not 0 <= event.robot < self.n:
                     raise ConfigError(f"crash robot {event.robot} outside 0..{self.n - 1}")
         build_initial(self, random.Random(0))
+        return plan, program, predicate
+
+    def validate(self) -> "ExperimentConfig":
+        """Check the config as ``build()`` does and return it."""
+        self.build()
         return self
 
 
@@ -210,49 +231,26 @@ def build_initial(config: ExperimentConfig, rng: random.Random) -> list[Point]:
     raise ConfigError(f"unknown layout {name!r}; available: {', '.join(LAYOUT_NAMES)}")
 
 
-def build_program(name: str, params: dict):
-    try:
-        return make_program(name, **(params or {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def build_policy(name: str, params: dict):
     """A fresh scheduler instance (policies are stateful, one per trial)."""
-    params = dict(params or {})
-    if name == "centralized-fair":
-        if params:
-            raise ConfigError("centralized-fair scheduler takes no parameters")
-        return CentralizedFairPolicy()
-    if name == "probabilistic":
-        try:
-            return ProbabilisticPolicy(**params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad probabilistic scheduler parameters: {exc}") from None
-    if name == "k-bounded":
-        try:
-            return KBoundedPolicy(**params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad k-bounded scheduler parameters: {exc}") from None
     if name == "scripted":
         try:
             if "path" in params:
+                if not isinstance(params["path"], str):
+                    raise ValueError(f"path must be a string, got {params['path']!r}")
                 return load_script(params["path"])
             if "script" in params:
                 return scripted_policy_from(params["script"])
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"bad scripted scheduler: {exc}") from None
         raise ConfigError("scripted scheduler needs 'script' (inline) or 'path'")
-    raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}")
-
-
-def build_plan(faults: dict | None) -> FaultPlan | None:
-    if faults is None:
-        return None
+    policy = SCHEDULER_CLASSES.get(name) if isinstance(name, str) else None
+    if policy is None:
+        raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}")
     try:
-        return fault_plan_from_dict(faults)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad fault plan: {exc}") from None
+        return policy(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} scheduler parameters: {exc}") from None
 
 
 def build_predicate(name: str, weak: bool):
@@ -329,21 +327,11 @@ def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     return (halves[0] | (halves[1] << np.uint64(32))).tolist()
 
 
-def _shared_parts(config: ExperimentConfig) -> tuple:
-    """The plan, program and predicate of a config: stateless, so every trial shares them."""
-    return (
-        build_plan(config.faults),
-        build_program(config.program, config.program_params),
-        build_predicate(config.predicate, config.weak),
-    )
-
-
-def _execute_trial(
-    config: ExperimentConfig, trial_seed: int, on_step=None, parts: tuple | None = None
-) -> TrialRecord:
+def _execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_step=None) -> TrialRecord:
+    """One run of a built config: ``parts`` is what ``config.build()`` returned."""
     rng = random.Random(trial_seed)
     positions = build_initial(config, rng)
-    plan, program, predicate = parts or _shared_parts(config)
+    plan, program, predicate = parts
     policy = build_policy(config.scheduler, config.scheduler_params)
     initial = configuration_from_positions(positions)
     engine_seed = rng.randrange(2**63)
@@ -359,16 +347,10 @@ def _execute_trial(
     )
 
 
-def run_single_trial(
-    config: ExperimentConfig, trial_index: int, trial_seed: int, parts: tuple | None = None
-) -> dict:
-    """One trial as a flat record; failures are recorded, not raised.
-
-    ``parts`` is the config's ``_shared_parts`` when the caller built them
-    once for many trials; without it the trial builds its own.
-    """
+def run_single_trial(config: ExperimentConfig, parts: tuple, trial_index: int, trial_seed: int) -> dict:
+    """One trial of a built config as a flat record; failures are recorded, not raised."""
     try:
-        record = _execute_trial(config, trial_seed, parts=parts)
+        record = _execute_trial(config, parts, trial_seed)
     except Exception as exc:
         return {
             "trial_id": trial_index,
@@ -439,15 +421,14 @@ def aggregate_trials(records: list[dict]) -> TrialStats:
 
 
 # Chunks per worker: enough to even out the workers' loads, few enough that
-# each chunk's start-up (pickling the config, building the shared parts) is small.
+# each chunk's start-up (pickling the config and its built parts) is small.
 CHUNKS_PER_WORKER = 8
 
 
-def _run_chunk(config: ExperimentConfig, chunk: tuple[int, list[int]]) -> list[dict]:
+def _run_chunk(config: ExperimentConfig, parts: tuple, chunk: tuple[int, list[int]]) -> list[dict]:
     """Records of the trials ``first, first + 1, ...`` with the given seeds, in order."""
     first, seeds = chunk
-    parts = _shared_parts(config)
-    return [run_single_trial(config, first + i, seed, parts) for i, seed in enumerate(seeds)]
+    return [run_single_trial(config, parts, first + i, seed) for i, seed in enumerate(seeds)]
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, list[dict]]:
@@ -457,11 +438,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, list[dict]]:
     its derived seed alone, in contiguous chunks of trial ids that come back
     in order, so any worker count produces the same records.
     """
-    config.validate()
+    parts = config.build()
     seeds = derive_trial_seeds(config.seed, config.trials)
     size = -(-config.trials // (config.workers * CHUNKS_PER_WORKER))
     chunks = [(first, seeds[first : first + size]) for first in range(0, config.trials, size)]
-    run_chunk = partial(_run_chunk, config)
+    run_chunk = partial(_run_chunk, config, parts)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             done = list(pool.map(run_chunk, chunks))
@@ -574,20 +555,16 @@ def compare_to_theory(
     return TheoryComparison(metric, observed, oracle_value, ratio, (low, high), verdict)
 
 
-def _run_once(config: ExperimentConfig, on_step=None) -> TrialRecord:
-    """Validate, derive the one trial seed, and run that trial."""
-    config.validate()
-    trial_seed = derive_trial_seeds(config.seed, 1)[0]
-    return _execute_trial(config, trial_seed, on_step)
-
-
 def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
     """Single seeded run, optionally exporting a JSONL trace."""
+    parts = config.build()  # before the trace file exists, so a bad config leaves none
+    trial_seed = derive_trial_seeds(config.seed, 1)[0]
     if trace_path is None:
-        return _run_once(config)
-    config.validate()  # before the trace file exists, so a bad config leaves none
+        return _execute_trial(config, parts, trial_seed)
     with open(trace_path, "w") as fh:
-        return _run_once(config, lambda line: fh.write(json.dumps(line, sort_keys=True) + "\n"))
+        return _execute_trial(
+            config, parts, trial_seed, lambda line: fh.write(json.dumps(line, sort_keys=True) + "\n")
+        )
 
 
 def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, list[dict]]:
@@ -595,8 +572,10 @@ def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, 
     config = ExperimentConfig(
         **scenario, scheduler="scripted", scheduler_params={"script": script}, max_steps=max_steps
     )
+    parts = config.build()
     traces: list[dict] = []
-    return _run_once(config, traces.append), traces
+    record = _execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], traces.append)
+    return record, traces
 
 
 def _groups(trace: dict) -> dict[tuple, list[str]]:

@@ -30,7 +30,6 @@ __all__ = [
     "majority_threshold",
     "bound_gathering",
     "bound_gathering_crash",
-    "bound_byzantine",
     "CHAINS",
     "chain_report",
 ]
@@ -252,19 +251,6 @@ def bound_gathering_crash(n: int, f: int) -> CrashBound:
     a = majority_threshold(n)
     penalty = n / (n - a) if n > a else math.inf
     return CrashBound(a * math.log(a) + 2.0 * f, penalty)
-
-
-def bound_byzantine(n: int, confidence: float) -> float:
-    """Horizon after which failure probability drops below ``confidence``.
-
-    The pessimistic event (every robot drawing its rarest outcome for n
-    straight activations) has probability at least (1/n)^n, giving the
-    sufficient horizon ln(1/confidence) * n^n. Nothing here claims the
-    matching lower bound.
-    """
-    if not 0 < confidence <= 1:
-        raise ValueError("confidence must lie in (0, 1]")
-    return math.log(1.0 / confidence) * float(n) ** n
 
 
 CHAINS = {

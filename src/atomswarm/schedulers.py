@@ -224,27 +224,42 @@ def audit(
     return AuditReport(fair, k_compliant, tuple(violations))
 
 
+def _list(value, field: str):
+    """A JSON list field; anything else is rejected with the field's name."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
 def scripted_policy_from(data: dict) -> ScriptedPolicy:
     """Build a scripted policy from its JSON object form.
 
     Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
     "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
-    integers; a float or a boolean is rejected, not truncated. Coin bits are
+    integers; a float or a boolean is rejected, not truncated, and a value
+    of the wrong shape is a ValueError naming its field. Coin bits are
     consumed in order by the program's binary decisions at that activation;
     bit 1 means the coin succeeds (the guarded branch is taken).
     """
-    try:
-        activations = data["activations"]
-    except KeyError as exc:
-        raise ValueError("script needs an 'activations' list") from exc
+    if not isinstance(data, Mapping):
+        raise ValueError(f"script must be a JSON object, got {data!r}")
+    if "activations" not in data:
+        raise ValueError("script needs an 'activations' list")
+    coins = data.get("coins")
     overrides = {}
-    for i, entry in enumerate(data.get("coins") or ()):
+    for i, entry in enumerate(_list(() if coins is None else coins, "coins")):
+        if not isinstance(entry, Mapping) or not {"step", "robot", "bits"} <= entry.keys():
+            raise ValueError(f"coins[{i}] must be an object with step, robot and bits, got {entry!r}")
         key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot"))
         if key in overrides:
             raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
-        overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(entry["bits"]))
+        bits = _list(entry["bits"], f"coins[{i}].bits")
+        overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(bits))
     return ScriptedPolicy(
-        [frozenset(_integer(r, f"activations[{i}][{j}]") for j, r in enumerate(a)) for i, a in enumerate(activations)],
+        [
+            frozenset(_integer(r, f"activations[{i}][{j}]") for j, r in enumerate(_list(a, f"activations[{i}]")))
+            for i, a in enumerate(_list(data["activations"], "activations"))
+        ],
         overrides,
     )
 

@@ -86,6 +86,23 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
             {"layout": "explicit", "layout_params": {"positions": [[0, 0], [1, 1e400]]}},
             "layout_params.positions[1] must be an [x, y] pair of finite numbers",
         ),
+        ({"faults": "f"}, "faults must be a JSON object or null"),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [5]}}},
+            "bad scripted scheduler: activations[0] must be a list",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0]], "coins": [3]}}},
+            "bad scripted scheduler: coins[0] must be an object with step, robot and bits",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": [1]}},
+            "bad scripted scheduler: script must be a JSON object",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"path": 5}},
+            "bad scripted scheduler: path must be a string",
+        ),
     ],
 )
 def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, message):

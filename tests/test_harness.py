@@ -291,8 +291,9 @@ def test_trial_seeds_are_numpy_seed_sequence_spawn_states(seed, trials):
 
 def test_single_trials_replay_identically():
     config = baseline_pair_config(trials=1)
-    first = run_single_trial(config, 0, 12345)
-    second = run_single_trial(config, 0, 12345)
+    parts = config.build()
+    first = run_single_trial(config, parts, 0, 12345)
+    second = run_single_trial(config, parts, 0, 12345)
     assert first == second
     assert first["converged"] is True
     assert "error" not in first
@@ -314,7 +315,7 @@ def script_exhausted_config(trials):
 
 def test_trial_failures_are_recorded_not_raised():
     config = script_exhausted_config(trials=1)
-    record = run_single_trial(config, 0, 1)
+    record = run_single_trial(config, config.build(), 0, 1)
     assert record["converged"] is False
     assert "script exhausted" in record["error"]
 
@@ -451,6 +452,14 @@ def test_single_simulations_can_stream_traces(tmp_path):
     assert all(
         {"step", "activated", "positions", "statuses"} <= set(line) for line in lines
     )
+
+
+def test_a_bad_config_leaves_no_trace_file(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    config = baseline_pair_config(trials=1, faults={"f": 1, "byzantine": [{"robot": 5}]})
+    with pytest.raises(ConfigError, match="byzantine robot 5"):
+        simulate_once(config, trace_path=trace)
+    assert not trace.exists()
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():

@@ -9,7 +9,6 @@ import pytest
 from atomswarm.markov import (
     CHAINS,
     BirthDeathChain,
-    bound_byzantine,
     bound_gathering,
     bound_gathering_crash,
     chain_report,
@@ -148,11 +147,6 @@ def test_crash_bound_value_and_penalty():
 
 def test_crash_penalty_is_infinite_when_every_robot_is_in_the_majority():
     assert math.isinf(bound_gathering_crash(2, 0).per_crash_penalty)
-
-
-def test_byzantine_bound_values():
-    assert bound_byzantine(2, 1 / math.e) == pytest.approx(4.0)
-    assert bound_byzantine(3, 0.01) == pytest.approx(27 * math.log(100), rel=1e-12)
 
 
 def test_chain_reports_carry_oracle_and_bound():
