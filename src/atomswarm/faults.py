@@ -209,11 +209,32 @@ BYZANTINE_STRATEGIES = {
 }
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer field; floats and booleans are rejected, not truncated."""
+# JSON field checks shared by every config parser; each error names its field.
+
+
+def _integer(value, field: str, low: int | None = None, high: int | None = None) -> int:
+    """A JSON integer in ``low..high`` (either end optional); floats and
+    booleans are rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{field} must be {bounds}, got {value!r}")
     return value
+
+
+def _list(value, field: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _point(value, field: str) -> Point:
+    try:
+        x, y = value
+        return Point(float(x), float(y))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}") from None
 
 
 def fault_plan_from_dict(data: Mapping) -> FaultPlan:
@@ -232,37 +253,34 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
     if "f" not in data:
         raise ValueError("fault plan needs a declared budget 'f'")
     crashes = []
-    for index, entry in enumerate(data.get("crashes", ())):
+    for index, entry in enumerate(_list(data.get("crashes", ()), "crashes")):
+        where = f"crashes[{index}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{where} must be an object, got {entry!r}")
+        if "mode" not in entry:
+            raise ValueError("crash entry needs a 'mode'")
         try:
             mode = CrashMode(entry["mode"])
-        except KeyError:
-            raise ValueError("crash entry needs a 'mode'") from None
         except ValueError:
-            raise ValueError(
-                f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'"
-            ) from None
+            raise ValueError(f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'") from None
         robot, at = entry.get("robot"), entry.get("at")
-        crashes.append(
-            CrashEvent(
-                mode,
-                robot=None if robot is None else _integer(robot, f"crashes[{index}].robot"),
-                at=None if at is None else _integer(at, f"crashes[{index}].at"),
-                when=entry.get("when"),
-            )
-        )
+        robot = None if robot is None else _integer(robot, f"{where}.robot")
+        at = None if at is None else _integer(at, f"{where}.at")
+        crashes.append(CrashEvent(mode, robot, at, entry.get("when")))
     byzantine = {}
-    for index, entry in enumerate(data.get("byzantine", ())):
+    for index, entry in enumerate(_list(data.get("byzantine", ()), "byzantine")):
+        where = f"byzantine[{index}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{where} must be an object, got {entry!r}")
         if "robot" not in entry:
             raise ValueError("byzantine entry needs a 'robot'")
         name = entry.get("strategy", "oscillator")
         if isinstance(name, str):
-            try:
-                strategy = BYZANTINE_STRATEGIES[name]()
-            except KeyError:
+            if name not in BYZANTINE_STRATEGIES:
                 raise ValueError(
-                    f"unknown byzantine strategy {name!r}; available: "
-                    f"{', '.join(sorted(BYZANTINE_STRATEGIES))}"
-                ) from None
+                    f"unknown byzantine strategy {name!r}; available: {', '.join(sorted(BYZANTINE_STRATEGIES))}"
+                )
+            strategy = BYZANTINE_STRATEGIES[name]()
         else:
             moves = name.get("moves", {}) if isinstance(name, Mapping) else None
             if not isinstance(moves, Mapping):
@@ -270,6 +288,9 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
                     "byzantine strategy must be a name or a "
                     f"{{\"moves\": {{step: [x, y]}}}} object, got {name!r}"
                 )
-            strategy = ScriptedStrategy({int(s): Point(*p) for s, p in moves.items()})
-        byzantine[_integer(entry["robot"], f"byzantine[{index}].robot")] = strategy
+            for step in moves:
+                if not str(step).isdecimal():
+                    raise ValueError(f"{where}.strategy.moves keys must be step numbers, got {step!r}")
+            strategy = ScriptedStrategy({int(s): _point(p, f"{where}.strategy.moves[{s}]") for s, p in moves.items()})
+        byzantine[_integer(entry["robot"], f"{where}.robot")] = strategy
     return FaultPlan(_integer(data["f"], "f"), tuple(crashes), byzantine)

@@ -1,15 +1,17 @@
 """Experiment harness: configs, batch trial running, statistics, scenarios.
 
 An experiment is described by a plain-data config (JSON friendly).
-``ExperimentConfig.build()`` checks it and builds its stateless fault plan,
-program and predicate once per batch; trials run in contiguous chunks that
-all receive those parts, and each trial builds a fresh policy. Trial seeds
-are derived from the experiment seed through independent substreams, so a
-batch replays identically for any worker count and trial order.
+``ExperimentConfig.build()`` parses it once per batch, layout and scheduler
+included, into the parts every trial uses; trials run in contiguous chunks
+that all receive those parts. A fixed layout is one shared configuration, and
+each trial gets a fresh policy from the parsed scheduler. Trial seeds are
+derived from the experiment seed through independent substreams, so a batch
+replays identically for any worker count and trial order.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -25,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .engine import TrialRecord, configuration_from_positions, is_gathered, is_scattered
-from .faults import fault_plan_from_dict
+from .engine import Configuration, TrialRecord, configuration_from_positions, is_gathered, is_scattered
+from .faults import _integer, _list, _point, fault_plan_from_dict
 from .geometry import Point
 from .programs import make_program
 from .schedulers import (
@@ -67,7 +69,7 @@ class ConfigError(ValueError):
     """An experiment configuration that cannot be run."""
 
 
-# Schedulers built from their parameters as keyword arguments; "scripted" reads a script.
+# Schedulers by name; only k-bounded takes a parameter, and "scripted" reads a script.
 SCHEDULER_CLASSES = {
     "centralized-fair": CentralizedFairPolicy,
     "probabilistic": ProbabilisticPolicy,
@@ -76,7 +78,8 @@ SCHEDULER_CLASSES = {
 SCHEDULER_NAMES = (*SCHEDULER_CLASSES, "scripted")
 LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
 PREDICATE_NAMES = ("gathering", "scattering")
-INTEGER_FIELDS = ("n", "trials", "max_steps", "seed", "workers")
+# Integer fields and their least values.
+INTEGER_FIELDS = {"n": 1, "trials": 1, "max_steps": 1, "seed": 0, "workers": 1}
 PARAMS_FIELDS = ("program_params", "scheduler_params", "layout_params")
 
 
@@ -123,21 +126,20 @@ class ExperimentConfig:
         return data
 
     def build(self) -> tuple:
-        """Check the config and build the ``(plan, program, predicate)`` every trial shares.
+        """Parse the config once into the picklable parts every trial uses.
 
-        This is where outside input becomes a ConfigError: every field is
-        checked here, and a policy and an initial layout are built once to
-        check their parameters, so a bad value fails here and not in a trial.
+        Returns ``(plan, program, predicate, new_policy, layout)``: the fault
+        plan or None, the robot program, the convergence predicate,
+        ``new_policy()`` for a fresh (stateful) scheduler per trial, and
+        ``layout(rng)`` for a trial's initial Configuration. This is where
+        outside input becomes a ConfigError: every field is checked here, once
+        per batch, so a bad value fails here and not in a trial.
         """
-        for name in INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("n", "trials", "max_steps", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        try:
+            for name, low in INTEGER_FIELDS.items():
+                _integer(getattr(self, name), name, low)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name in PARAMS_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, dict):
@@ -151,10 +153,10 @@ class ExperimentConfig:
             program = make_program(self.program, **self.program_params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        build_policy(self.scheduler, self.scheduler_params)
+        new_policy = build_policy(self)
         try:
             plan = None if self.faults is None else fault_plan_from_dict(self.faults)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad fault plan: {exc}") from None
         if plan is not None:
             for rid in plan.byzantine:
@@ -163,8 +165,7 @@ class ExperimentConfig:
             for event in plan.crashes:
                 if event.robot is not None and not 0 <= event.robot < self.n:
                     raise ConfigError(f"crash robot {event.robot} outside 0..{self.n - 1}")
-        build_initial(self, random.Random(0))
-        return plan, program, predicate
+        return plan, program, predicate, new_policy, build_initial(self)
 
     def validate(self) -> "ExperimentConfig":
         """Check the config as ``build()`` does and return it."""
@@ -172,84 +173,92 @@ class ExperimentConfig:
         return self
 
 
-def _layout_point(value, field: str, index: int | None = None) -> Point:
-    """An ``[x, y]`` entry of ``layout_params`` (item ``index`` of a list field) as a Point."""
-    try:
-        x, y = value
-        return Point(float(x), float(y))
-    except (TypeError, ValueError, OverflowError):
-        where = field if index is None else f"{field}[{index}]"
-        raise ConfigError(
-            f"layout_params.{where} must be an [x, y] pair of finite numbers, got {value!r}"
-        ) from None
+def _fixed_layout(initial: Configuration, rng: random.Random) -> Configuration:
+    return initial
 
 
-def _layout_list(params: dict, field: str, default):
-    value = params.get(field, default)
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"layout_params.{field} must be a list, got {value!r}")
-    return value
+def _uniform_layout(n: int, box: tuple, rng: random.Random) -> Configuration:
+    xmin, ymin, xmax, ymax = box
+    return configuration_from_positions([Point(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)) for _ in range(n)])
 
 
-def build_initial(config: ExperimentConfig, rng: random.Random) -> list[Point]:
-    """Initial positions for one trial; random layouts draw from ``rng``."""
+def build_initial(config: ExperimentConfig):
+    """Check the layout once; returns ``layout(rng)``, a trial's initial Configuration.
+
+    A fixed layout returns one shared configuration (``engine.run`` copies it
+    before changing anything); ``random-uniform`` makes 2n draws from ``rng``.
+    """
     name, params, n = config.layout, config.layout_params, config.n
-    if name == "all-at-one-point":
-        return [_layout_point(params.get("point", (0.0, 0.0)), "point")] * n
-    if name == "two-groups":
-        sizes = _layout_list(params, "sizes", (n - n // 2, n // 2))
-        points = _layout_list(params, "points", ((0.0, 0.0), (1.0, 0.0)))
-        if len(sizes) != 2 or len(points) != 2:
-            raise ConfigError("two-groups layout needs two sizes and two points")
-        for size in sizes:
-            if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-                raise ConfigError(f"layout_params.sizes must be non-negative integers, got {list(sizes)}")
-        if sizes[0] + sizes[1] != n:
-            raise ConfigError(f"two-groups sizes {list(sizes)} must sum to n={n}")
-        first, second = (_layout_point(p, "points", i) for i, p in enumerate(points))
-        return [first] * sizes[0] + [second] * sizes[1]
-    if name == "random-uniform":
-        box = params.get("box", (0.0, 0.0, 1.0, 1.0))
-        try:
-            xmin, ymin, xmax, ymax = map(float, box)
-            # Finite widths keep every uniform draw finite.
-            valid = 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise ConfigError(
-                f"layout_params.box must be (xmin, ymin, xmax, ymax) with xmin < xmax and ymin < ymax, got {box!r}"
-            )
-        return [Point(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)) for _ in range(n)]
-    if name == "explicit":
-        if "positions" not in params:
-            raise ConfigError("explicit layout needs 'positions'")
-        positions = _layout_list(params, "positions", None)
-        if len(positions) != n:
-            raise ConfigError(f"explicit layout has {len(positions)} positions for n={n}")
-        return [_layout_point(p, "positions", i) for i, p in enumerate(positions)]
-    raise ConfigError(f"unknown layout {name!r}; available: {', '.join(LAYOUT_NAMES)}")
+    try:
+        if name == "random-uniform":
+            box = params.get("box", (0.0, 0.0, 1.0, 1.0))
+            try:
+                bounds = xmin, ymin, xmax, ymax = tuple(map(float, box))
+                # Finite widths keep every uniform draw finite.
+                valid = 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise ValueError(
+                    f"layout_params.box must be (xmin, ymin, xmax, ymax) with xmin < xmax and ymin < ymax, got {box!r}"
+                )
+            return partial(_uniform_layout, n, bounds)
+        if name == "all-at-one-point":
+            positions = [_point(params.get("point", (0.0, 0.0)), "layout_params.point")] * n
+        elif name == "two-groups":
+            sizes = _list(params.get("sizes", (n - n // 2, n // 2)), "layout_params.sizes")
+            points = _list(params.get("points", ((0.0, 0.0), (1.0, 0.0))), "layout_params.points")
+            if len(sizes) != 2 or len(points) != 2:
+                raise ValueError("two-groups layout needs two sizes and two points")
+            try:
+                sizes = [_integer(size, "layout_params.sizes", 0) for size in sizes]
+            except ValueError:
+                raise ValueError(f"layout_params.sizes must be non-negative integers, got {list(sizes)}") from None
+            if sum(sizes) != n:
+                raise ValueError(f"two-groups sizes {sizes} must sum to n={n}")
+            first, second = (_point(p, f"layout_params.points[{i}]") for i, p in enumerate(points))
+            positions = [first] * sizes[0] + [second] * sizes[1]
+        elif name == "explicit":
+            positions = _list(params.get("positions"), "layout_params.positions")
+            if len(positions) != n:
+                raise ValueError(f"explicit layout has {len(positions)} positions for n={n}")
+            positions = [_point(p, f"layout_params.positions[{i}]") for i, p in enumerate(positions)]
+        else:
+            raise ValueError(f"unknown layout {name!r}; available: {', '.join(LAYOUT_NAMES)}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return partial(_fixed_layout, configuration_from_positions(positions))
 
 
-def build_policy(name: str, params: dict):
-    """A fresh scheduler instance (policies are stateful, one per trial)."""
+def build_policy(config: ExperimentConfig):
+    """Check the scheduler once; returns ``new_policy()``, a fresh scheduler per trial.
+
+    A script is read and checked here; each trial gets a new ScriptedPolicy
+    over the same activations and coins.
+    """
+    name, params = config.scheduler, config.scheduler_params
     if name == "scripted":
         try:
             if "path" in params:
                 if not isinstance(params["path"], str):
                     raise ValueError(f"path must be a string, got {params['path']!r}")
-                return load_script(params["path"])
-            if "script" in params:
-                return scripted_policy_from(params["script"])
+                script = load_script(params["path"], config.n)
+            elif "script" in params:
+                script = scripted_policy_from(params["script"], config.n)
+            else:
+                raise ValueError("needs 'script' (inline) or 'path'")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad scripted scheduler: {exc}") from None
-        raise ConfigError("scripted scheduler needs 'script' (inline) or 'path'")
+        return partial(copy.copy, script)
     policy = SCHEDULER_CLASSES.get(name) if isinstance(name, str) else None
     if policy is None:
         raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}")
+    expected = {"k"} if policy is KBoundedPolicy else set()
     try:
-        return policy(**params)
-    except (TypeError, ValueError) as exc:
+        if params.keys() != expected:
+            raise ValueError(f"expected {sorted(expected)}, got {sorted(params)}")
+        return partial(policy, _integer(params["k"], "k", 1)) if expected else policy
+    except ValueError as exc:
         raise ConfigError(f"bad {name} scheduler parameters: {exc}") from None
 
 
@@ -329,22 +338,11 @@ def derive_trial_seeds(seed: int, trials: int) -> list[int]:
 
 def _execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_step=None) -> TrialRecord:
     """One run of a built config: ``parts`` is what ``config.build()`` returned."""
+    plan, program, predicate, new_policy, layout = parts
     rng = random.Random(trial_seed)
-    positions = build_initial(config, rng)
-    plan, program, predicate = parts
-    policy = build_policy(config.scheduler, config.scheduler_params)
-    initial = configuration_from_positions(positions)
+    initial = layout(rng)
     engine_seed = rng.randrange(2**63)
-    return engine.run(
-        initial,
-        policy,
-        program,
-        plan,
-        predicate,
-        config.max_steps,
-        engine_seed,
-        on_step=on_step,
-    )
+    return engine.run(initial, new_policy(), program, plan, predicate, config.max_steps, engine_seed, on_step=on_step)
 
 
 def run_single_trial(config: ExperimentConfig, parts: tuple, trial_index: int, trial_seed: int) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import RobotId
-from .faults import _integer
+from .faults import _integer, _list
 
 __all__ = [
     "CentralizedFairPolicy",
@@ -80,9 +80,7 @@ class KBoundedPolicy:
     """
 
     def __init__(self, k: int):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        self.k = k
+        self.k = _integer(k, "k", 1)
         self._clock = 0
         self._last: dict[RobotId, int] = {}
         self._recent: dict[RobotId, deque] = {}
@@ -224,23 +222,18 @@ def audit(
     return AuditReport(fair, k_compliant, tuple(violations))
 
 
-def _list(value, field: str):
-    """A JSON list field; anything else is rejected with the field's name."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{field} must be a list, got {value!r}")
-    return value
-
-
-def scripted_policy_from(data: dict) -> ScriptedPolicy:
+def scripted_policy_from(data: dict, n: int | None = None) -> ScriptedPolicy:
     """Build a scripted policy from its JSON object form.
 
     Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
     "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
     integers; a float or a boolean is rejected, not truncated, and a value
-    of the wrong shape is a ValueError naming its field. Coin bits are
-    consumed in order by the program's binary decisions at that activation;
-    bit 1 means the coin succeeds (the guarded branch is taken).
+    of the wrong shape is a ValueError naming its field. Robot ids must be
+    in 0..n-1 (0 or more when ``n`` is None). Coin bits are consumed in
+    order by the program's binary decisions at that activation; bit 1 means
+    the coin succeeds (the guarded branch is taken).
     """
+    last = None if n is None else n - 1
     if not isinstance(data, Mapping):
         raise ValueError(f"script must be a JSON object, got {data!r}")
     if "activations" not in data:
@@ -250,21 +243,19 @@ def scripted_policy_from(data: dict) -> ScriptedPolicy:
     for i, entry in enumerate(_list(() if coins is None else coins, "coins")):
         if not isinstance(entry, Mapping) or not {"step", "robot", "bits"} <= entry.keys():
             raise ValueError(f"coins[{i}] must be an object with step, robot and bits, got {entry!r}")
-        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot"))
+        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot", 0, last))
         if key in overrides:
             raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
         bits = _list(entry["bits"], f"coins[{i}].bits")
         overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(bits))
-    return ScriptedPolicy(
-        [
-            frozenset(_integer(r, f"activations[{i}][{j}]") for j, r in enumerate(_list(a, f"activations[{i}]")))
-            for i, a in enumerate(_list(data["activations"], "activations"))
-        ],
-        overrides,
-    )
+    activations = []
+    for i, ids in enumerate(_list(data["activations"], "activations")):
+        ids = _list(ids, f"activations[{i}]")
+        activations.append(frozenset(_integer(r, f"activations[{i}][{j}]", 0, last) for j, r in enumerate(ids)))
+    return ScriptedPolicy(activations, overrides)
 
 
-def load_script(path) -> ScriptedPolicy:
+def load_script(path, n: int | None = None) -> ScriptedPolicy:
     """Read a scripted policy (activations plus coin overrides) from a JSON file."""
     with open(Path(path)) as fh:
-        return scripted_policy_from(json.load(fh))
+        return scripted_policy_from(json.load(fh), n)

@@ -114,6 +114,28 @@ def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, mess
 
 
 @pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({"f": 1, "crashes": [5]}, "crashes[0] must be an object, got 5"),
+        ({"f": 1, "crashes": "x"}, "crashes must be a list, got 'x'"),
+        ({"f": 1, "byzantine": [5]}, "byzantine[0] must be an object, got 5"),
+        (
+            {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"a": [0, 0]}}}]},
+            "byzantine[0].strategy.moves keys must be step numbers, got 'a'",
+        ),
+        (
+            {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"1": 5}}}]},
+            "byzantine[0].strategy.moves[1] must be an [x, y] pair of finite numbers, got 5",
+        ),
+    ],
+)
+def test_malformed_fault_plans_name_their_field(capsys, faults, message):
+    code = main(["simulate", "--n", "2", "--faults", json.dumps(faults)])
+    assert code == 1
+    assert f"config error: bad fault plan: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         {"scheduler": "k-bounded", "scheduler_params": {"k": 2.5}},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import random
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomswarm import harness
 from atomswarm.geometry import Point
 from atomswarm.harness import (
     CHUNKS_PER_WORKER,
@@ -28,7 +30,7 @@ from atomswarm.harness import (
     simulate_once,
 )
 from atomswarm.markov import gathering_chain, hitting_time_birth_death
-from atomswarm.schedulers import audit, scripted_policy_from
+from atomswarm.schedulers import audit, load_script, scripted_policy_from
 
 
 def baseline_pair_config(**overrides):
@@ -185,6 +187,19 @@ def test_parameterless_components_reject_parameters_at_config_time():
             },
             r"coins\[0\]\.bits\[1\] must be an integer",
         ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0], [1, 5]]}}},
+            r"activations\[1\]\[1\] must be in 0\.\.3, got 5",
+        ),
+        (
+            {
+                "scheduler": "scripted",
+                "scheduler_params": {
+                    "script": {"activations": [[0]], "coins": [{"step": 0, "robot": 9, "bits": [1]}]}
+                },
+            },
+            r"coins\[0\]\.robot must be in 0\.\.3, got 9",
+        ),
     ],
 )
 def test_parameter_values_are_checked_at_config_time(fields, message):
@@ -193,61 +208,101 @@ def test_parameter_values_are_checked_at_config_time(fields, message):
         config.validate()
 
 
+def test_a_scripted_batch_reads_its_script_once(tmp_path, monkeypatch):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"activations": [[0], [1]]}))
+    reads = []
+
+    def counting_load_script(*args):
+        reads.append(args)
+        return load_script(*args)
+
+    monkeypatch.setattr(harness, "load_script", counting_load_script)
+    config = baseline_pair_config(
+        trials=5, max_steps=2, scheduler="scripted", scheduler_params={"path": str(path)}
+    )
+    stats, _ = run_experiment(config)
+    assert stats.errors == 0
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {},
+        {"scheduler": "probabilistic", "layout": "two-groups", "layout_params": {}},
+        {"scheduler": "k-bounded", "scheduler_params": {"k": 1}, "layout": "all-at-one-point"},
+        {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0], [1]]}}},
+        {"layout": "random-uniform", "layout_params": {}},
+    ],
+)
+def test_built_parts_pickle_and_give_each_trial_a_fresh_policy(fields):
+    config = baseline_pair_config(**fields)
+    parts = config.build()
+    _, _, _, new_policy, layout = parts
+    assert new_policy() is not new_policy()
+    shared = layout(random.Random(1)) is layout(random.Random(2))
+    assert shared is (config.layout != "random-uniform")
+    copied = pickle.loads(pickle.dumps(parts))
+    assert run_single_trial(config, copied, 0, 77) == run_single_trial(config, parts, 0, 77)
+
+
+def positions(config, rng):
+    """The initial positions of one trial of ``config``."""
+    return list(build_initial(config)(rng).snapshot())
+
+
 def test_layouts_produce_the_requested_positions():
     rng = random.Random(0)
     stacked = ExperimentConfig(
         n=3, layout="all-at-one-point", layout_params={"point": [2.0, 2.0]}
     )
-    assert build_initial(stacked, rng) == [Point(2.0, 2.0)] * 3
+    assert positions(stacked, rng) == [Point(2.0, 2.0)] * 3
 
     pairs = ExperimentConfig(
         n=5,
         layout="two-groups",
         layout_params={"sizes": [3, 2], "points": [[0.0, 0.0], [4.0, 0.0]]},
     )
-    pts = build_initial(pairs, rng)
+    pts = positions(pairs, rng)
     assert pts.count(Point(0.0, 0.0)) == 3
     assert pts.count(Point(4.0, 0.0)) == 2
 
     box = ExperimentConfig(
         n=40, layout="random-uniform", layout_params={"box": [0, 0, 2, 1]}
     )
-    pts = build_initial(box, rng)
+    pts = positions(box, rng)
     assert len(pts) == 40
     assert all(0 <= p.x <= 2 and 0 <= p.y <= 1 for p in pts)
 
     explicit = ExperimentConfig(
         n=2, layout="explicit", layout_params={"positions": [[0, 0], [1, 1]]}
     )
-    assert build_initial(explicit, rng) == [Point(0.0, 0.0), Point(1.0, 1.0)]
+    assert positions(explicit, rng) == [Point(0.0, 0.0), Point(1.0, 1.0)]
 
 
 def test_layout_validation_errors():
-    rng = random.Random(0)
     with pytest.raises(ConfigError, match="sum to n"):
         build_initial(
             ExperimentConfig(
                 n=4,
                 layout="two-groups",
                 layout_params={"sizes": [1, 2], "points": [[0, 0], [1, 0]]},
-            ),
-            rng,
+            )
         )
     with pytest.raises(ConfigError, match="positions"):
         build_initial(
             ExperimentConfig(
                 n=3, layout="explicit", layout_params={"positions": [[0, 0]]}
-            ),
-            rng,
+            )
         )
     with pytest.raises(ConfigError, match="unknown layout"):
-        build_initial(ExperimentConfig(n=3, layout="spiral"), rng)
+        build_initial(ExperimentConfig(n=3, layout="spiral"))
     with pytest.raises(ConfigError, match="box"):
         build_initial(
             ExperimentConfig(
                 n=3, layout="random-uniform", layout_params={"box": [1, 0, 0, 1]}
-            ),
-            rng,
+            )
         )
 
 
