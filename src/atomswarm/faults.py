@@ -257,16 +257,23 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
         where = f"crashes[{index}]"
         if not isinstance(entry, Mapping):
             raise ValueError(f"{where} must be an object, got {entry!r}")
-        if "mode" not in entry:
-            raise ValueError("crash entry needs a 'mode'")
         try:
             mode = CrashMode(entry["mode"])
+        except KeyError:
+            raise ValueError("crash entry needs a 'mode'") from None
         except ValueError:
-            raise ValueError(f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'") from None
+            raise ValueError(
+                f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'"
+            ) from None
         robot, at = entry.get("robot"), entry.get("at")
-        robot = None if robot is None else _integer(robot, f"{where}.robot")
-        at = None if at is None else _integer(at, f"{where}.at")
-        crashes.append(CrashEvent(mode, robot, at, entry.get("when")))
+        crashes.append(
+            CrashEvent(
+                mode,
+                robot=None if robot is None else _integer(robot, f"{where}.robot"),
+                at=None if at is None else _integer(at, f"{where}.at"),
+                when=entry.get("when"),
+            )
+        )
     byzantine = {}
     for index, entry in enumerate(_list(data.get("byzantine", ()), "byzantine")):
         where = f"byzantine[{index}]"
@@ -276,11 +283,13 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
             raise ValueError("byzantine entry needs a 'robot'")
         name = entry.get("strategy", "oscillator")
         if isinstance(name, str):
-            if name not in BYZANTINE_STRATEGIES:
+            try:
+                strategy = BYZANTINE_STRATEGIES[name]()
+            except KeyError:
                 raise ValueError(
-                    f"unknown byzantine strategy {name!r}; available: {', '.join(sorted(BYZANTINE_STRATEGIES))}"
-                )
-            strategy = BYZANTINE_STRATEGIES[name]()
+                    f"unknown byzantine strategy {name!r}; available: "
+                    f"{', '.join(sorted(BYZANTINE_STRATEGIES))}"
+                ) from None
         else:
             moves = name.get("moves", {}) if isinstance(name, Mapping) else None
             if not isinstance(moves, Mapping):

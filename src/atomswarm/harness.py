@@ -69,11 +69,12 @@ class ConfigError(ValueError):
     """An experiment configuration that cannot be run."""
 
 
-# Schedulers by name; only k-bounded takes a parameter, and "scripted" reads a script.
+# Schedulers by name, each with its integer parameters and their least values;
+# "scripted" reads a script instead.
 SCHEDULER_CLASSES = {
-    "centralized-fair": CentralizedFairPolicy,
-    "probabilistic": ProbabilisticPolicy,
-    "k-bounded": KBoundedPolicy,
+    "centralized-fair": (CentralizedFairPolicy, {}),
+    "probabilistic": (ProbabilisticPolicy, {}),
+    "k-bounded": (KBoundedPolicy, {"k": 1}),
 }
 SCHEDULER_NAMES = (*SCHEDULER_CLASSES, "scripted")
 LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
@@ -250,16 +251,17 @@ def build_policy(config: ExperimentConfig):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad scripted scheduler: {exc}") from None
         return partial(copy.copy, script)
-    policy = SCHEDULER_CLASSES.get(name) if isinstance(name, str) else None
-    if policy is None:
+    if not isinstance(name, str) or name not in SCHEDULER_CLASSES:
         raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}")
-    expected = {"k"} if policy is KBoundedPolicy else set()
+    policy, least = SCHEDULER_CLASSES[name]
     try:
-        if params.keys() != expected:
-            raise ValueError(f"expected {sorted(expected)}, got {sorted(params)}")
-        return partial(policy, _integer(params["k"], "k", 1)) if expected else policy
+        if params.keys() != least.keys():
+            raise ValueError(f"expected {sorted(least)}, got {sorted(params)}")
+        for key, low in least.items():
+            _integer(params[key], key, low)
     except ValueError as exc:
         raise ConfigError(f"bad {name} scheduler parameters: {exc}") from None
+    return partial(policy, **params)
 
 
 def build_predicate(name: str, weak: bool):
@@ -342,7 +344,16 @@ def _execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_s
     rng = random.Random(trial_seed)
     initial = layout(rng)
     engine_seed = rng.randrange(2**63)
-    return engine.run(initial, new_policy(), program, plan, predicate, config.max_steps, engine_seed, on_step=on_step)
+    return engine.run(
+        initial,
+        new_policy(),
+        program,
+        plan,
+        predicate,
+        config.max_steps,
+        engine_seed,
+        on_step=on_step,
+    )
 
 
 def run_single_trial(config: ExperimentConfig, parts: tuple, trial_index: int, trial_seed: int) -> dict:

@@ -222,18 +222,17 @@ def audit(
     return AuditReport(fair, k_compliant, tuple(violations))
 
 
-def scripted_policy_from(data: dict, n: int | None = None) -> ScriptedPolicy:
+def scripted_policy_from(data: dict, n: int) -> ScriptedPolicy:
     """Build a scripted policy from its JSON object form.
 
     Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
     "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
     integers; a float or a boolean is rejected, not truncated, and a value
     of the wrong shape is a ValueError naming its field. Robot ids must be
-    in 0..n-1 (0 or more when ``n`` is None). Coin bits are consumed in
-    order by the program's binary decisions at that activation; bit 1 means
-    the coin succeeds (the guarded branch is taken).
+    in 0..n-1. Coin bits are consumed in order by the program's binary
+    decisions at that activation; bit 1 means the coin succeeds (the guarded
+    branch is taken).
     """
-    last = None if n is None else n - 1
     if not isinstance(data, Mapping):
         raise ValueError(f"script must be a JSON object, got {data!r}")
     if "activations" not in data:
@@ -243,7 +242,7 @@ def scripted_policy_from(data: dict, n: int | None = None) -> ScriptedPolicy:
     for i, entry in enumerate(_list(() if coins is None else coins, "coins")):
         if not isinstance(entry, Mapping) or not {"step", "robot", "bits"} <= entry.keys():
             raise ValueError(f"coins[{i}] must be an object with step, robot and bits, got {entry!r}")
-        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot", 0, last))
+        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot", 0, n - 1))
         if key in overrides:
             raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
         bits = _list(entry["bits"], f"coins[{i}].bits")
@@ -251,11 +250,11 @@ def scripted_policy_from(data: dict, n: int | None = None) -> ScriptedPolicy:
     activations = []
     for i, ids in enumerate(_list(data["activations"], "activations")):
         ids = _list(ids, f"activations[{i}]")
-        activations.append(frozenset(_integer(r, f"activations[{i}][{j}]", 0, last) for j, r in enumerate(ids)))
+        activations.append(frozenset(_integer(r, f"activations[{i}][{j}]", 0, n - 1) for j, r in enumerate(ids)))
     return ScriptedPolicy(activations, overrides)
 
 
-def load_script(path, n: int | None = None) -> ScriptedPolicy:
-    """Read a scripted policy (activations plus coin overrides) from a JSON file."""
+def load_script(path, n: int) -> ScriptedPolicy:
+    """Read a scripted policy (activations plus coin overrides) for n robots from a JSON file."""
     with open(Path(path)) as fh:
         return scripted_policy_from(json.load(fh), n)

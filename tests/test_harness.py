@@ -518,7 +518,7 @@ def test_a_bad_config_leaves_no_trace_file(tmp_path):
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():
-    policy = scripted_policy_from(build_counterexample_script(cycles=25))
+    policy = scripted_policy_from(build_counterexample_script(cycles=25), 4)
     pool = frozenset({0, 1, 2, 3})
     rng = random.Random(0)
     history = [policy.next_activation(pool, rng) for _ in range(len(policy))]

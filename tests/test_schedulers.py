@@ -197,7 +197,7 @@ def test_script_files_round_trip(tmp_path):
     }
     path = tmp_path / "script.json"
     path.write_text(json.dumps(data))
-    policy = load_script(path)
+    policy = load_script(path, 2)
     assert len(policy) == 3
     assert policy.coin_overrides == {(0, 0): (1, 0)}
 
@@ -211,4 +211,4 @@ def test_duplicate_coin_overrides_are_rejected():
         ],
     }
     with pytest.raises(ValueError):
-        scripted_policy_from(data)
+        scripted_policy_from(data, 1)
