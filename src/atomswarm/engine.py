@@ -10,9 +10,10 @@ observation.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -82,6 +83,12 @@ class Configuration:
 
     robots: Mapping[RobotId, tuple[Point, RobotStatus]]
     step_index: int = 0
+    # visible_items() at construction (so robots must not change afterwards),
+    # shared by the step, the predicate, crash triggers and Byzantine strategies.
+    view: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "view", self.visible_items())
 
     def position_of(self, robot: RobotId) -> Point:
         return self.robots[robot][0]
@@ -100,14 +107,14 @@ class Configuration:
 
     def snapshot(self) -> Observation:
         """Positions of all non-removed robots: what any observer sees."""
-        return tuple(pos for _, pos, _ in self.visible_items())
+        return tuple(pos for _, pos, _ in self.view)
 
     def eligible(self) -> frozenset[RobotId]:
         """Robots a scheduler may activate (everything not removed)."""
-        return frozenset(rid for rid, _, _ in self.visible_items())
+        return frozenset(rid for rid, _, _ in self.view)
 
     def correct_positions(self) -> list[Point]:
-        return [pos for _, pos, status in self.visible_items() if status is RobotStatus.CORRECT]
+        return [pos for _, pos, status in self.view if status is RobotStatus.CORRECT]
 
 
 def configuration_from_positions(
@@ -208,7 +215,7 @@ class TrialRecord:
 
 
 def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
-    """One JSONL trace line: step, activated ids, positions, statuses."""
+    """One trace line as a dict: step, activated ids, positions, statuses."""
     positions = {}
     statuses = {}
     for rid, (pos, status) in config.robots.items():
@@ -223,6 +230,32 @@ def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
     }
 
 
+class _TraceLines:
+    """``json.dumps(trace_record(config, activated), sort_keys=True)``, joined
+    from per-robot JSON fragments kept in the sorted order of the id strings
+    ("10" before "2"). ``update`` re-encodes only the robots that changed."""
+
+    def __init__(self, config: Configuration):
+        ids = sorted(config.robots, key=str)
+        self._slots = {rid: (i, json.dumps(str(rid)) + ": ") for i, rid in enumerate(ids)}
+        self._positions, self._statuses = [""] * len(ids), [""] * len(ids)
+        self.update(config, ids)
+
+    def update(self, config: Configuration, robots: Iterable[RobotId]) -> None:
+        for rid in robots:
+            pos, status = config.robots[rid]
+            i, key = self._slots[rid]
+            self._positions[i] = "" if status is RobotStatus.CRASHED_REMOVED else key + json.dumps(pos)
+            self._statuses[i] = key + json.dumps(status.value)
+
+    def line(self, config: Configuration, activated: Iterable[RobotId]) -> str:
+        return (
+            f'{{"activated": {json.dumps(sorted(activated))}, '
+            f'"positions": {{{", ".join(filter(None, self._positions))}}}, '
+            f'"statuses": {{{", ".join(self._statuses)}}}, "step": {config.step_index}}}'
+        )
+
+
 def run(
     initial: Configuration,
     policy,
@@ -232,7 +265,7 @@ def run(
     max_steps: int = 10_000,
     seed: int = 0,
     *,
-    on_step: Callable[[dict], None] | None = None,
+    on_step: Callable[[str], None] | None = None,
 ) -> TrialRecord:
     """Drive a full execution until the predicate holds or the horizon ends.
 
@@ -255,7 +288,7 @@ def run(
 
     ``on_step`` receives the start line, then one trace line per step whose
     ``activated`` field is the scheduler's choice at that step: the trace is
-    the run's only activation record.
+    the run's only activation record, as ``trace_record`` JSON text.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -275,14 +308,15 @@ def run(
     rounds = 0
     seen: set[RobotId] = set()
     start = config.step_index
-    if on_step is not None:
-        on_step(trace_record(config, ()))
+    trace = None if on_step is None else _TraceLines(config)
+    if trace is not None:
+        on_step(trace.line(config, ()))
     if predicate(config):
         return TrialRecord(True, 0, 0, config)
 
     converged = False
+    eligible = config.eligible()
     while config.step_index - start < max_steps:
-        eligible = config.eligible()
         if not eligible:
             raise RuntimeError("no robots left to activate")
         activated = frozenset(policy.next_activation(eligible, rng))
@@ -291,11 +325,14 @@ def run(
         if eligible <= seen:
             rounds += 1
             seen = set()
-        if on_step is not None:
-            on_step(trace_record(config, activated))
+        if trace is not None:
+            trace.update(config, activated)
+            on_step(trace.line(config, activated))
         if predicate(config):
             converged = True
             break
-        if plan is not None:
-            config = plan.fire(config, fault_state)
+        if plan is not None and (fired := plan.fire(config, fault_state)) is not config:
+            config, eligible = fired, fired.eligible()
+            if trace is not None:
+                trace.update(config, config.robots)
     return TrialRecord(converged, config.step_index - start, rounds, config)

@@ -46,11 +46,10 @@ def _correct_groups(config: Configuration) -> tuple[dict[Point, list[RobotId]], 
     """Ids of the correct robots at each position, and how many robots
     (of any status) are still physically present."""
     groups: dict[Point, list[RobotId]] = {}
-    present = config.visible_items()
-    for rid, pos, status in present:
+    for rid, pos, status in config.view:
         if status is RobotStatus.CORRECT:
             groups.setdefault(pos, []).append(rid)
-    return groups, len(present)
+    return groups, len(config.view)
 
 
 def worst_case_crash_trigger(config: Configuration) -> bool:

@@ -571,9 +571,7 @@ def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
     if trace_path is None:
         return _execute_trial(config, parts, trial_seed)
     with open(trace_path, "w") as fh:
-        return _execute_trial(
-            config, parts, trial_seed, lambda line: fh.write(json.dumps(line, sort_keys=True) + "\n")
-        )
+        return _execute_trial(config, parts, trial_seed, lambda line: fh.write(line + "\n"))
 
 
 def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, list[dict]]:
@@ -582,9 +580,9 @@ def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, 
         **scenario, scheduler="scripted", scheduler_params={"script": script}, max_steps=max_steps
     )
     parts = config.build()
-    traces: list[dict] = []
-    record = _execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], traces.append)
-    return record, traces
+    lines: list[str] = []
+    record = _execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], lines.append)
+    return record, [json.loads(line) for line in lines]
 
 
 def _groups(trace: dict) -> dict[tuple, list[str]]:

@@ -76,7 +76,9 @@ class KBoundedPolicy:
     policy picks uniformly among the safe robots. That needs only a step
     clock and each robot's last turn and k most recent turns. A robot that
     waited longest is always safe, so the candidate set is never empty.
-    Robots that leave the eligible set are forgotten.
+    Robots that leave the eligible set are forgotten. That bookkeeping and the
+    sorted order are redone only for a new eligible frozenset (``engine.run``
+    passes the same one until the fault plan fires).
     """
 
     def __init__(self, k: int):
@@ -84,21 +86,24 @@ class KBoundedPolicy:
         self._clock = 0
         self._last: dict[RobotId, int] = {}
         self._recent: dict[RobotId, deque] = {}
+        self._eligible = self._order = None
 
     def next_activation(self, eligible, rng):
-        order = sorted(eligible)
-        if not order:
-            raise ValueError("eligible set must be nonempty")
         now, last, recent = self._clock, self._last, self._recent
-        for gone in last.keys() - eligible:
-            del last[gone], recent[gone]
-        for r in order:
-            if r not in last:
-                last[r], recent[r] = now - 1, deque(maxlen=self.k)
+        if eligible is not self._eligible:
+            order = sorted(eligible)
+            if not order:
+                raise ValueError("eligible set must be nonempty")
+            for gone in last.keys() - eligible:
+                del last[gone], recent[gone]
+            for r in order:
+                if r not in last:
+                    last[r], recent[r] = now - 1, deque(maxlen=self.k)
+            self._eligible, self._order = (eligible if isinstance(eligible, frozenset) else None), order
         # Only r's others count, but the robot holding the earliest last turn
         # has no turn after it, so the minimum over everyone gives the same set.
         earliest = min(last.values())
-        safe = [r for r in order if len(recent[r]) < self.k or recent[r][0] <= earliest]
+        safe = [r for r in self._order if len(recent[r]) < self.k or recent[r][0] <= earliest]
         pick = safe[rng.randrange(len(safe))] if len(safe) > 1 else safe[0]
         last[pick] = now
         recent[pick].append(now)

@@ -289,3 +289,37 @@ def test_inline_fault_plans_parse_and_run(capsys):
     out = capsys.readouterr().out
     assert out.startswith("converged=true")
     assert "[crashed_frozen]" in out
+
+
+EXHAUSTED_SCRIPT_CONFIG = {
+    "n": 3,
+    "program": "multiplicity-gather",
+    "layout": "explicit",
+    "layout_params": {"positions": [[0, 0], [5, 0], [9, 9]]},
+    "scheduler": "scripted",
+    "scheduler_params": {"script": {"activations": [[1]]}},
+    "trials": 3,
+}
+
+
+def test_experiments_with_errored_trials_exit_with_code_one(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EXHAUSTED_SCRIPT_CONFIG))
+    assert main(["experiment", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["stats"]["errors"] == 3
+    assert "error: 3 of 3 trials errored" in err
+    assert main(["experiment", "--config", str(config), "--allow-errors"]) == 0
+
+
+@pytest.mark.parametrize("faults", ["[5]", "5", '"x"', "null"])
+def test_fault_plans_that_are_json_but_not_objects_are_config_errors(capsys, faults):
+    assert main(["simulate", "--n", "2", "--faults", faults]) == 1
+    assert "config error: the fault plan must be a JSON object" in capsys.readouterr().err
+
+
+def test_fault_plans_can_be_read_from_a_file(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"f": 1, "crashes": [{"mode": "freeze", "robot": 1, "at": 0}]}')
+    assert main(["simulate", *BASELINE_PAIR, "--faults", str(plan)]) == 0
+    assert "[crashed_frozen]" in capsys.readouterr().out

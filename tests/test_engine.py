@@ -1,9 +1,10 @@
 """Atomic step semantics, convergence predicates, rounds, full executions."""
 
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomswarm.engine import (
@@ -17,9 +18,17 @@ from atomswarm.engine import (
     step,
     trace_record,
 )
-from atomswarm.faults import CrashEvent, CrashMode, FaultPlan, StayPutStrategy
+from atomswarm.faults import (
+    WORST_CASE_TRIGGER,
+    CrashEvent,
+    CrashMode,
+    FaultPlan,
+    OscillatorStrategy,
+    ScriptedStrategy,
+    StayPutStrategy,
+)
 from atomswarm.geometry import Point
-from atomswarm.schedulers import CentralizedFairPolicy, ScriptedPolicy
+from atomswarm.schedulers import CentralizedFairPolicy, ProbabilisticPolicy, ScriptedPolicy
 
 
 def hop_to_other(view, me, source):
@@ -246,6 +255,62 @@ def test_trace_records_carry_positions_for_non_removed_robots_only():
     }
 
 
+def wander(view, me, source):
+    """Test program: join a seen robot, or hop by a tiny (exponent-form) offset."""
+    if source.coin(0.5):
+        return source.choose(sorted(view))
+    return Point(me.x + source.uniform(-1e-5, 1e-5), me.y)
+
+
+coordinates = st.one_of(
+    st.integers(-1000, 1000), st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def faulted_runs(draw):
+    """A configuration of 11 to 16 robots (so id "10" sorts before "2") and
+    a fault plan with timed and worst-case crashes of both modes plus
+    oscillator and scripted Byzantine robots."""
+    n = draw(st.integers(11, 16))
+    positions = draw(st.lists(st.tuples(coordinates, coordinates), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    modes = st.sampled_from(list(CrashMode))
+    timed = [CrashEvent(draw(modes), robot=rid, at=draw(st.integers(0, 12))) for rid in ids[:2]]
+    triggered = [CrashEvent(draw(modes), when=WORST_CASE_TRIGGER) for _ in range(draw(st.integers(0, 2)))]
+    moves = draw(st.dictionaries(st.integers(0, 20), st.tuples(coordinates, coordinates).map(lambda p: Point(*p))))
+    byzantine = {ids[2]: OscillatorStrategy(), ids[3]: ScriptedStrategy(moves)}
+    plan = FaultPlan(f=len(timed) + len(triggered) + 2, crashes=(*timed, *triggered), byzantine=byzantine)
+    return configuration_from_positions(positions), plan, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(faulted_runs())
+def test_streamed_trace_lines_equal_the_reference_encoding(case):
+    initial, plan, seed = case
+    chosen = [()]
+    seen = []
+    lines = []
+
+    class RecordingPolicy(ProbabilisticPolicy):
+        def next_activation(self, eligible, rng):
+            chosen.append(super().next_activation(eligible, rng))
+            return chosen[-1]
+
+    def record_config(config):
+        seen.append(config)  # the configuration each line was streamed from
+        return False
+
+    try:
+        run(initial, RecordingPolicy(), wander, plan, predicate=record_config, max_steps=25, seed=seed, on_step=lines.append)
+    except ValueError as exc:
+        # A timed crash may name a robot a worst-case crash already struck.
+        assert "already faulty" in str(exc)
+    assert len(lines) == len(seen) == len(chosen)
+    for line, config, activated in zip(lines, seen, chosen):
+        assert line == json.dumps(trace_record(config, activated), sort_keys=True)
+
+
 def test_run_checks_the_predicate_before_any_step():
     config = configuration_from_positions([(2.0, 2.0), (2.0, 2.0)])
     record = run(config, CentralizedFairPolicy(), stay, predicate=is_gathered)
@@ -269,7 +334,7 @@ def test_run_counts_steps_and_rounds_consistently():
     lines = []
     record = run(
         config, ScriptedPolicy(script), stay,
-        predicate=is_gathered, max_steps=5, on_step=lines.append,
+        predicate=is_gathered, max_steps=5, on_step=lambda line: lines.append(json.loads(line)),
     )
     assert record.steps == 5
     assert [set(line["activated"]) for line in lines[1:]] == script
@@ -314,7 +379,7 @@ def test_run_streams_the_start_plus_one_trace_line_per_step():
     lines = []
     record = run(
         config, CentralizedFairPolicy(), stay,
-        predicate=is_gathered, max_steps=6, on_step=lines.append,
+        predicate=is_gathered, max_steps=6, on_step=lambda line: lines.append(json.loads(line)),
     )
     assert record.steps == 6
     assert len(lines) == 7

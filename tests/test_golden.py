@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from atomswarm.harness import ExperimentConfig, run_experiment
+from atomswarm.harness import ExperimentConfig, run_experiment, simulate_once
 
 SCRIPT = {
     "activations": [[0], [1], [2, 3], [0, 1, 2, 3], [3], [1]],
@@ -158,3 +158,34 @@ def _digests(name, out_dir):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
 def test_seeded_outputs_match_their_golden_digests(name, tmp_path):
     assert _digests(name, tmp_path) == GOLDEN_DIGESTS[name]
+
+
+# One faulted k-bounded run at n=64: a Byzantine oscillator, a worst-case
+# freeze and a timed removal. Its JSONL trace is pinned byte for byte, so a
+# change to how trace lines are built (key order, number formatting, which
+# robots a line lists) fails here.
+GOLDEN_TRACE_CONFIG = dict(
+    n=64,
+    program="multiplicity-gather",
+    scheduler="k-bounded",
+    scheduler_params={"k": 2},
+    layout="random-uniform",
+    weak=True,
+    faults={
+        "f": 3,
+        "byzantine": [{"robot": 0, "strategy": "oscillator"}],
+        "crashes": [
+            {"mode": "freeze", "when": "max_group_reaches_alpha"},
+            {"mode": "remove", "robot": 11, "at": 40},
+        ],
+    },
+    seed=2024,
+)
+GOLDEN_TRACE_DIGEST = "b442956f46869eb0f3ff7bfaf4f26e6f9342e6903b51f1df5602dacec43eccef"
+
+
+def test_seeded_trace_matches_its_golden_digest(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    record = simulate_once(ExperimentConfig(**GOLDEN_TRACE_CONFIG), trace_path=trace)
+    assert (record.converged, record.steps) == (True, 160)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_DIGEST
