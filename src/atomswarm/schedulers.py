@@ -99,7 +99,7 @@ class KBoundedPolicy:
             for r in order:
                 if r not in last:
                     last[r], recent[r] = now - 1, deque(maxlen=self.k)
-            self._eligible, self._order = (eligible if isinstance(eligible, frozenset) else None), order
+            self._eligible, self._order = eligible, order
         # Only r's others count, but the robot holding the earliest last turn
         # has no turn after it, so the minimum over everyone gives the same set.
         earliest = min(last.values())

@@ -309,13 +309,17 @@ def test_experiments_with_errored_trials_exit_with_code_one(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert json.loads(out)["stats"]["errors"] == 3
     assert "error: 3 of 3 trials errored" in err
-    assert main(["experiment", "--config", str(config), "--allow-errors"]) == 0
 
 
-@pytest.mark.parametrize("faults", ["[5]", "5", '"x"', "null"])
+@pytest.mark.parametrize("faults", ["[5]", "5", '"x"'])
 def test_fault_plans_that_are_json_but_not_objects_are_config_errors(capsys, faults):
     assert main(["simulate", "--n", "2", "--faults", faults]) == 1
-    assert "config error: the fault plan must be a JSON object" in capsys.readouterr().err
+    assert "config error: faults must be a JSON object" in capsys.readouterr().err
+
+
+def test_a_null_fault_plan_means_no_faults_as_in_a_config_file(capsys):
+    assert main(["simulate", *BASELINE_PAIR, "--faults", "null"]) == 0
+    assert "crashed" not in capsys.readouterr().out
 
 
 def test_fault_plans_can_be_read_from_a_file(capsys, tmp_path):
