@@ -11,11 +11,12 @@ Modules: :mod:`~atomswarm.geometry` (points, multiplicity, Voronoi cells),
 :mod:`~atomswarm.schedulers` (activation policies and auditing),
 :mod:`~atomswarm.programs` (robot decision rules), :mod:`~atomswarm.faults`
 (crash plans and Byzantine strategies), :mod:`~atomswarm.markov` (chains,
-hitting times, bounds) and :mod:`~atomswarm.harness` (experiments, stats,
-scenario replays) with :mod:`~atomswarm.cli` on top.
+hitting times, bounds), :mod:`~atomswarm.harness` (configs, trials, stats)
+and :mod:`~atomswarm.scenarios` (scripted scenario replays), with
+:mod:`~atomswarm.cli` on top.
 """
 
-from . import engine, faults, geometry, harness, markov, programs, schedulers
+from . import engine, faults, geometry, harness, markov, programs, scenarios, schedulers
 from .engine import (
     Configuration,
     RandomSource,
@@ -29,13 +30,7 @@ from .engine import (
 )
 from .faults import CrashEvent, CrashMode, FaultPlan, OscillatorStrategy
 from .geometry import Point, barycenter, multiplicities
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    compare_to_theory,
-    replay_counterexample,
-    run_experiment,
-)
+from .harness import ConfigError, ExperimentConfig, compare_to_theory, run_experiment
 from .markov import (
     BirthDeathChain,
     gathering_chain,
@@ -46,6 +41,7 @@ from .markov import (
     simulate_chain,
 )
 from .programs import make_program
+from .scenarios import replay_counterexample
 from .schedulers import (
     CentralizedFairPolicy,
     KBoundedPolicy,

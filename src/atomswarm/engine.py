@@ -113,9 +113,6 @@ class Configuration:
         """Robots a scheduler may activate (everything not removed)."""
         return frozenset(rid for rid, _, _ in self.view)
 
-    def correct_positions(self) -> list[Point]:
-        return [pos for _, pos, status in self.view if status is RobotStatus.CORRECT]
-
 
 def configuration_from_positions(
     positions: Iterable,
@@ -188,8 +185,9 @@ def step(
 
 def is_gathered(config: Configuration, weak: bool = False) -> bool:
     """Strong: all non-removed robots co-located. Weak: correct robots only."""
-    positions = config.correct_positions() if weak else config.snapshot()
-    return len(set(positions)) <= 1
+    if weak:
+        return len({pos for _, pos, status in config.view if status is RobotStatus.CORRECT}) <= 1
+    return len(set(config.snapshot())) <= 1
 
 
 def is_scattered(config: Configuration, weak: bool = False) -> bool:
@@ -201,7 +199,7 @@ def is_scattered(config: Configuration, weak: bool = False) -> bool:
     counts = Counter(config.snapshot())
     if not weak:
         return all(c == 1 for c in counts.values())
-    return all(counts[pos] == 1 for pos in config.correct_positions())
+    return all(counts[pos] == 1 for _, pos, status in config.view if status is RobotStatus.CORRECT)
 
 
 @dataclass(frozen=True)

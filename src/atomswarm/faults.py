@@ -42,16 +42,6 @@ class CrashMode(Enum):
 WORST_CASE_TRIGGER = "max_group_reaches_alpha"
 
 
-def _correct_groups(config: Configuration) -> tuple[dict[Point, list[RobotId]], int]:
-    """Ids of the correct robots at each position, and how many robots
-    (of any status) are still physically present."""
-    groups: dict[Point, list[RobotId]] = {}
-    for rid, pos, status in config.view:
-        if status is RobotStatus.CORRECT:
-            groups.setdefault(pos, []).append(rid)
-    return groups, len(config.view)
-
-
 def worst_case_crash_trigger(config: Configuration) -> bool:
     """True when the largest co-located group of correct robots has reached
     floor(n/2) + 1, n counting every robot still physically present.
@@ -61,14 +51,17 @@ def worst_case_crash_trigger(config: Configuration) -> bool:
     group it was struck from, otherwise a budget of f would always be spent
     on the very first formation event.
     """
-    groups, present = _correct_groups(config)
-    return bool(groups) and max(map(len, groups.values())) >= majority_threshold(present)
+    counts = Counter([pos for _, pos, status in config.view if status is RobotStatus.CORRECT])
+    return bool(counts) and max(counts.values()) >= majority_threshold(len(config.view))
 
 
 def _worst_case_victim(config: Configuration) -> RobotId:
     """Lowest-id correct robot in the largest correct group (lex-smallest
     position on ties). Deterministic, so replays agree."""
-    groups, _ = _correct_groups(config)
+    groups: dict[Point, list[RobotId]] = {}
+    for rid, pos, status in config.view:
+        if status is RobotStatus.CORRECT:
+            groups.setdefault(pos, []).append(rid)
     if not groups:
         raise ValueError("no correct robot left to crash")
     top = max(map(len, groups.values()))

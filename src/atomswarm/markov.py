@@ -39,23 +39,22 @@ __all__ = [
 class BirthDeathChain:
     """States 1..n_states; from each state the walk stays or advances by one.
 
-    ``p_stay`` and ``p_advance`` map a state to an exact Fraction. The last
-    state is absorbing: p_stay(n) = 1.
+    ``p_advance`` maps a state to an exact Fraction; the walk stays with the
+    rest. The last state is absorbing: p_stay(n) = 1.
     """
 
     n_states: int
-    p_stay: Callable[[int], Fraction]
     p_advance: Callable[[int], Fraction]
+
+    def p_stay(self, j: int) -> Fraction:
+        return 1 - self.p_advance(j)
 
     def validate(self) -> None:
         if self.n_states < 1:
             raise ValueError("a chain needs at least one state")
         for j in range(1, self.n_states):
-            stay, advance = self.p_stay(j), self.p_advance(j)
-            if not (0 <= stay <= 1 and 0 <= advance <= 1):
+            if not 0 <= self.p_advance(j) <= 1:
                 raise ValueError(f"probabilities at state {j} outside [0, 1]")
-            if stay + advance != 1:
-                raise ValueError(f"probabilities at state {j} sum to {stay + advance}, not 1")
         if self.p_stay(self.n_states) != 1:
             raise ValueError("last state must be absorbing")
 
@@ -74,13 +73,10 @@ def gathering_chain(n: int) -> BirthDeathChain:
     if n < 2:
         raise ValueError("need at least two robots")
 
-    def p_stay(k: int) -> Fraction:
-        return Fraction(1) if k >= n else Fraction(k, n)
-
     def p_advance(k: int) -> Fraction:
         return Fraction(0) if k >= n else Fraction(n - k, n)
 
-    return BirthDeathChain(n, p_stay, p_advance)
+    return BirthDeathChain(n, p_advance)
 
 
 def scattering_chain(n: int) -> BirthDeathChain:
@@ -93,13 +89,10 @@ def scattering_chain(n: int) -> BirthDeathChain:
     if n < 2:
         raise ValueError("need at least two robots")
 
-    def p_stay(j: int) -> Fraction:
-        return Fraction(1) if j >= n else Fraction(1, 4) ** (n - j + 1)
-
     def p_advance(j: int) -> Fraction:
         return Fraction(0) if j >= n else 1 - Fraction(1, 4) ** (n - j + 1)
 
-    return BirthDeathChain(n, p_stay, p_advance)
+    return BirthDeathChain(n, p_advance)
 
 
 @dataclass(frozen=True)
@@ -117,10 +110,6 @@ class HittingTimeResult:
     @property
     def expected_steps(self) -> float:
         return float(self.exact)
-
-    @property
-    def per_transition(self) -> tuple[float, ...]:
-        return tuple(float(s) for s in self.segments)
 
 
 def hitting_time_birth_death(chain: BirthDeathChain, from_state: int, to_state: int) -> HittingTimeResult:

@@ -13,14 +13,7 @@ from fractions import Fraction
 
 from atomswarm.engine import RandomSource
 from atomswarm.geometry import Point
-from atomswarm.harness import (
-    FLIP_FLOP_SCENARIO,
-    ExperimentConfig,
-    compare_to_theory,
-    replay_counterexample,
-    run_experiment,
-    run_flip_flop_witness,
-)
+from atomswarm.harness import ExperimentConfig, compare_to_theory, run_experiment
 from atomswarm.markov import (
     bound_gathering_crash,
     gathering_chain,
@@ -31,6 +24,7 @@ from atomswarm.markov import (
     simulate_chain,
 )
 from atomswarm.programs import baseline_gather_step, random_bit
+from atomswarm.scenarios import FLIP_FLOP_SCENARIO, replay_counterexample, run_flip_flop_witness
 
 
 def test_criterion_01_hitting_time_solvers_agree(acceptance):

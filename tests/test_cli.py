@@ -327,3 +327,23 @@ def test_fault_plans_can_be_read_from_a_file(capsys, tmp_path):
     plan.write_text('{"f": 1, "crashes": [{"mode": "freeze", "robot": 1, "at": 0}]}')
     assert main(["simulate", *BASELINE_PAIR, "--faults", str(plan)]) == 0
     assert "[crashed_frozen]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--program-params", "--scheduler-params", "--layout-params"])
+def test_parameter_flags_that_are_json_but_not_objects_are_config_errors(capsys, flag):
+    assert main(["simulate", "--n", "2", flag, "[1]"]) == 1
+    field = flag[2:].replace("-", "_")
+    assert f"config error: {field} must be a JSON object" in capsys.readouterr().err
+
+
+def test_report_compares_within_the_fixed_band_and_takes_no_band_option(capsys, tmp_path):
+    trials = tmp_path / "trials.csv"
+    trials.write_text("trial_id,seed,converged,steps,rounds\n0,1,true,3,2\n")
+    assert main(["report", "--csv", str(trials), "--oracle", "2"]) == 0
+    comparison = json.loads(capsys.readouterr().out)[0]["comparison"]
+    assert comparison["verdict"] == "consistent"
+    assert comparison["band"] == [0.25, 4.0]
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--csv", str(trials), "--oracle", "2", "--band", "1", "2"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --band" in capsys.readouterr().err

@@ -54,7 +54,7 @@ def test_four_robot_gathering_oracle_is_exactly_ten_thirds():
     result = hitting_time_birth_death(gathering_chain(4), 1, 3)
     assert result.exact == Fraction(10, 3)
     assert result.expected_steps == 10 / 3
-    assert result.per_transition == (float(Fraction(4, 3)), 2.0)
+    assert result.segments == (Fraction(4, 3), Fraction(2))
 
 
 def test_three_robot_scattering_oracle_value():
@@ -83,9 +83,7 @@ def test_hitting_time_validates_state_order():
 
 
 def test_stuck_states_are_reported_as_unreachable():
-    chain = BirthDeathChain(
-        n_states=2, p_stay=lambda j: Fraction(1), p_advance=lambda j: Fraction(0)
-    )
+    chain = BirthDeathChain(n_states=2, p_advance=lambda j: Fraction(0))
     with pytest.raises(ValueError, match="unreachable"):
         hitting_time_birth_death(chain, 1, 2)
 
