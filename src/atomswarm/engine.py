@@ -1,20 +1,26 @@
 """Atomic observe-compute-move execution engine.
 
-Robots are oblivious: a program is a pure function of the observed snapshot,
-the robot's own position and fresh randomness. Every robot activated in the
-same step observes the same pre-step snapshot, and motion is rigid (the robot
-is placed exactly at the destination it computed). Crash-frozen robots stay
-observable but never move; crash-removed robots disappear from every later
-observation.
+Robots are oblivious: a program is a pure function of the observation, the
+robot's own position and fresh randomness. The observation is the read-only
+occupancy map of the pre-step configuration (position -> number of robots
+there, no ids), and every robot activated in the same step observes the same
+one. Motion is rigid (the robot is placed exactly at the destination it
+computed). Crash-frozen robots stay observable but never move; crash-removed
+robots disappear from every later observation.
+
+Each configuration carries its occupancy counts, and ``step`` derives the
+next counts from the previous ones by shifting the robots that moved, so a
+step's Python work grows with the movers, not with n.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .geometry import Point
@@ -29,8 +35,9 @@ class RobotStatus(Enum):
     BYZANTINE = "byzantine"
 
 
-# What a robot sees: the positions of every non-removed robot, its own included.
-Observation = tuple[Point, ...]
+# What a robot sees: position -> number of non-removed robots there, its own
+# included. Read-only, and its key order is arbitrary.
+Observation = Mapping[Point, int]
 
 
 class RandomSource:
@@ -64,6 +71,7 @@ class RandomSource:
         return self._rng.uniform(low, high)
 
 
+# A program maps (observation, own position, randomness) to a destination.
 RobotProgram = Callable[[Observation, Point, RandomSource], Point]
 
 
@@ -79,16 +87,29 @@ class Configuration:
 
     ``robots`` is in id order: ``configuration_from_positions`` enumerates
     and every later configuration copies its predecessor's dict.
+
+    ``occupancy`` counts the robots per position over every robot that is not
+    crash-removed, ``correct`` over correct robots only; positions with no
+    robot are absent. They are counted from ``robots`` at construction unless
+    both are passed in (``step`` passes counts it derived from the previous
+    configuration). Neither ``robots`` nor the counts change afterwards.
     """
 
     robots: Mapping[RobotId, tuple[Point, RobotStatus]]
     step_index: int = 0
-    # visible_items() at construction (so robots must not change afterwards),
-    # shared by the step, the predicate, crash triggers and Byzantine strategies.
-    view: list = field(init=False, repr=False, compare=False)
+    occupancy: dict[Point, int] = field(default=None, repr=False, compare=False)
+    correct: dict[Point, int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "view", self.visible_items())
+        if self.occupancy is None or self.correct is None:
+            occupancy: dict[Point, int] = {}
+            correct: dict[Point, int] = {}
+            for _, pos, status in self.visible_items():
+                occupancy[pos] = occupancy.get(pos, 0) + 1
+                if status is RobotStatus.CORRECT:
+                    correct[pos] = correct.get(pos, 0) + 1
+            object.__setattr__(self, "occupancy", occupancy)
+            object.__setattr__(self, "correct", correct)
 
     def position_of(self, robot: RobotId) -> Point:
         return self.robots[robot][0]
@@ -105,13 +126,9 @@ class Configuration:
             if status is not RobotStatus.CRASHED_REMOVED
         ]
 
-    def snapshot(self) -> Observation:
-        """Positions of all non-removed robots: what any observer sees."""
-        return tuple(pos for _, pos, _ in self.view)
-
     def eligible(self) -> frozenset[RobotId]:
         """Robots a scheduler may activate (everything not removed)."""
-        return frozenset(rid for rid, _, _ in self.view)
+        return frozenset(rid for rid, _, _ in self.visible_items())
 
 
 def configuration_from_positions(
@@ -147,10 +164,13 @@ def step(
 ) -> Configuration:
     """Execute one atomic activation step.
 
-    Every activated robot observes the same pre-step snapshot. Correct robots
-    run ``program``; Byzantine robots follow their strategy; crash-frozen
-    robots are legal to activate but do nothing. Activating a crash-removed
-    robot violates the scheduler contract and raises.
+    Every activated robot observes the same pre-step occupancy map. Correct
+    robots run ``program``; Byzantine robots follow their strategy;
+    crash-frozen robots are legal to activate but do nothing. Activating a
+    crash-removed robot violates the scheduler contract and raises.
+
+    Every destination is computed against the pre-step counts; only then are
+    the counts copied (when some robot moved) and the movers shifted.
 
     ``coin_overrides`` maps ``(step index, robot id)`` to scripted coin bits
     for that activation; the step index is ``config.step_index`` before the
@@ -161,12 +181,14 @@ def step(
         raise ValueError("activated set must be nonempty")
     byzantine = byzantine or {}
     rng = rng if rng is not None else random.Random()
-    view = config.snapshot()
-    new_robots = dict(config.robots)
+    robots = config.robots
+    view = MappingProxyType(config.occupancy)
+    new_robots = dict(robots)
+    moves = []
     for rid in activated:
-        if rid not in config.robots:
+        if rid not in robots:
             raise ValueError(f"unknown robot id {rid}")
-        pos, status = config.robots[rid]
+        pos, status = robots[rid]
         if status is RobotStatus.CRASHED_REMOVED:
             raise ValueError("scheduler contract violation: removed robot activated")
         if status is RobotStatus.CRASHED_FROZEN:
@@ -180,14 +202,31 @@ def step(
         if not isinstance(dest, Point):
             dest = Point(*dest)
         new_robots[rid] = (dest, status)
-    return Configuration(new_robots, config.step_index + 1)
+        if dest != pos:
+            moves.append((pos, dest, status is RobotStatus.CORRECT))
+    occupancy, correct = config.occupancy, config.correct
+    if moves:
+        occupancy, correct = occupancy.copy(), correct.copy()
+        for pos, dest, is_correct in moves:
+            _shift(occupancy, pos, dest)
+            if is_correct:
+                _shift(correct, pos, dest)
+    return Configuration(new_robots, config.step_index + 1, occupancy, correct)
+
+
+def _shift(counts: dict[Point, int], pos: Point, dest: Point) -> None:
+    """Move one robot's count from ``pos`` to ``dest``."""
+    left = counts[pos] - 1
+    if left:
+        counts[pos] = left
+    else:
+        del counts[pos]
+    counts[dest] = counts.get(dest, 0) + 1
 
 
 def is_gathered(config: Configuration, weak: bool = False) -> bool:
     """Strong: all non-removed robots co-located. Weak: correct robots only."""
-    if weak:
-        return len({pos for _, pos, status in config.view if status is RobotStatus.CORRECT}) <= 1
-    return len(set(config.snapshot())) <= 1
+    return len(config.correct if weak else config.occupancy) <= 1
 
 
 def is_scattered(config: Configuration, weak: bool = False) -> bool:
@@ -196,10 +235,10 @@ def is_scattered(config: Configuration, weak: bool = False) -> bool:
     Weak: no correct robot shares its position with any other non-removed
     robot; co-located faulty robots are exempt.
     """
-    counts = Counter(config.snapshot())
+    occupancy = config.occupancy
     if not weak:
-        return all(c == 1 for c in counts.values())
-    return all(counts[pos] == 1 for _, pos, status in config.view if status is RobotStatus.CORRECT)
+        return len(occupancy) == sum(occupancy.values())
+    return all(occupancy[pos] == 1 for pos in config.correct)
 
 
 @dataclass(frozen=True)
@@ -293,12 +332,14 @@ def run(
     rng = random.Random(seed)
     coin_overrides = getattr(policy, "coin_overrides", None)
     byzantine = dict(plan.byzantine) if plan is not None else {}
-    robots = dict(initial.robots)
-    for rid in byzantine:
-        if rid not in robots:
-            raise ValueError(f"byzantine robot {rid} not in the configuration")
-        robots[rid] = (robots[rid][0], RobotStatus.BYZANTINE)
-    config = Configuration(robots, initial.step_index)
+    config = initial
+    if byzantine:
+        robots = dict(initial.robots)
+        for rid in byzantine:
+            if rid not in robots:
+                raise ValueError(f"byzantine robot {rid} not in the configuration")
+            robots[rid] = (robots[rid][0], RobotStatus.BYZANTINE)
+        config = Configuration(robots, initial.step_index)
     fault_state = plan.new_state() if plan is not None else None
     if plan is not None:
         config = plan.fire(config, fault_state)

@@ -51,21 +51,23 @@ def worst_case_crash_trigger(config: Configuration) -> bool:
     group it was struck from, otherwise a budget of f would always be spent
     on the very first formation event.
     """
-    counts = Counter([pos for _, pos, status in config.view if status is RobotStatus.CORRECT])
-    return bool(counts) and max(counts.values()) >= majority_threshold(len(config.view))
+    correct = config.correct
+    return bool(correct) and max(correct.values()) >= majority_threshold(sum(config.occupancy.values()))
 
 
 def _worst_case_victim(config: Configuration) -> RobotId:
     """Lowest-id correct robot in the largest correct group (lex-smallest
     position on ties). Deterministic, so replays agree."""
-    groups: dict[Point, list[RobotId]] = {}
-    for rid, pos, status in config.view:
-        if status is RobotStatus.CORRECT:
-            groups.setdefault(pos, []).append(rid)
-    if not groups:
+    correct = config.correct
+    if not correct:
         raise ValueError("no correct robot left to crash")
-    top = max(map(len, groups.values()))
-    return min(groups[min(pos for pos, ids in groups.items() if len(ids) == top)])
+    top = max(correct.values())
+    rally = min(pos for pos, count in correct.items() if count == top)
+    return min(
+        rid
+        for rid, (pos, status) in config.robots.items()
+        if pos == rally and status is RobotStatus.CORRECT
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def oscillator_move(config: Configuration, robot: RobotId) -> Point:
     robots; on a tie, to the position farther from the mover. Any other
     shape falls back to staying put.
     """
-    counts = Counter(config.snapshot())
+    counts = config.occupancy
     self_pos = config.position_of(robot)
     if len(counts) != 2:
         return self_pos

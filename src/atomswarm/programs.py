@@ -1,10 +1,12 @@
 """Oblivious robot programs.
 
 Each program is a pure rule mapping (observation, own position, randomness)
-to a destination point. No state survives between activations. Programs
-read the observation as given, and their output must not depend on its order:
-a program sorts the view only to index into it or to sum floats over it;
-counting, membership and minima under a total key are order-free as they are.
+to a destination point. No state survives between activations. The
+observation is a read-only occupancy map: each occupied position with the
+number of robots on it, the observer included, and no robot ids. Its key
+order is arbitrary, so a program's output must not depend on it: a program
+sorts positions only to index into them or to sum floats over them; counting,
+membership and minima under a total key are order-free as they are.
 
 The ``source`` argument needs ``coin(p)``, ``choose(seq)`` and
 ``uniform(low, high)`` methods; the engine's per-activation randomness
@@ -27,6 +29,8 @@ from .geometry import (
 )
 
 __all__ = [
+    # No program calls it; the perfbench span recorder wraps it here by name.
+    "multiplicities",
     "random_bit",
     "baseline_gather_step",
     "multiplicity_gather_step",
@@ -46,16 +50,21 @@ def random_bit(source) -> int:
     return 0 if source.coin(0.75) else 1
 
 
+def _sorted_positions(obs) -> list[Point]:
+    """Every visible robot's position, sorted, with one entry per robot."""
+    return [p for p in sorted(obs) for _ in range(obs[p])]
+
+
 def baseline_gather_step(obs, self_pos: Point, source) -> Point:
     """Gathering without multiplicity knowledge.
 
-    Pick a uniformly random other robot from the snapshot, then move onto it
-    with probability 1/n where n is the number of visible robots; otherwise
-    stay. A lone robot never moves. With two robots this moves with
+    Pick a uniformly random other robot from the observation, then move onto
+    it with probability 1/n where n is the number of visible robots;
+    otherwise stay. A lone robot never moves. With two robots this moves with
     probability 1/2, so a pair meets after 2 activations in expectation.
     """
-    # Sorted because ``choose`` indexes into the view.
-    view = sorted(obs)
+    # Sorted because ``choose`` indexes into the robots' positions.
+    view = _sorted_positions(obs)
     try:
         view.remove(self_pos)
     except ValueError:
@@ -78,12 +87,13 @@ def multiplicity_gather_step(obs, self_pos: Point, source) -> Point:
     deterministic move when the maximum is unique. |M| counts the tied
     positions, not the robots standing on them.
     """
-    tops = sorted(max_multiplicity_positions(multiplicities(obs)))
+    tops = max_multiplicity_positions(obs)
+    # Sorted only just before ``choose`` indexes into them.
     if self_pos in tops and len(tops) > 1:
         if source.coin(1.0 / len(tops)):
-            return source.choose([p for p in tops if p != self_pos])
+            return source.choose(sorted(p for p in tops if p != self_pos))
         return self_pos
-    return source.choose(tops)
+    return source.choose(sorted(tops))
 
 
 def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None = None) -> Point:
@@ -91,8 +101,9 @@ def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None =
 
     Draw the biased bit; on 1 stay put. On 0 move to a random point strictly
     inside the robot's own Voronoi cell (sites are the distinct occupied
-    positions). The rule never inspects multiplicity, so an already isolated
-    robot keeps wandering inside its cell.
+    positions, the keys of the observation). The rule never inspects
+    multiplicity, so an already isolated robot keeps wandering inside its
+    cell.
 
     ``radius`` caps how far the sampled point may be from the current
     position; by default half the distance to the nearest other occupied
@@ -107,7 +118,7 @@ def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None =
 def barycenter_converge_step(obs, self_pos: Point, source) -> Point:
     """Move to the barycenter of all visible robots."""
     # Sorted because float sums depend on the order of their terms.
-    return barycenter(sorted(obs))
+    return barycenter(_sorted_positions(obs))
 
 
 def flip_flop_step(
@@ -131,16 +142,15 @@ def flip_flop_step(
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be 'lexmin' or 'nearest', got {tie_break!r}")
-    occupancy = multiplicities(obs)
-    crowded = [p for p, count in occupancy.items() if count >= 2]
+    crowded = [p for p, count in obs.items() if count >= 2]
     if len(crowded) >= 2:
         return voronoi_scatter_step(obs, self_pos, source, radius=radius)
-    tops = max_multiplicity_positions(occupancy)
+    tops = max_multiplicity_positions(obs)
     if len(tops) == 1:
         return next(iter(tops))
     if tie_break == "lexmin":
-        return min(occupancy)
-    others = [p for p in occupancy if p != self_pos]
+        return min(obs)
+    others = [p for p in obs if p != self_pos]
     if not others:
         return self_pos
     return min(others, key=lambda p: (self_pos.squared_distance_to(p), p))

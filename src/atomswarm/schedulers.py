@@ -8,8 +8,10 @@ fresh one per trial.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +30,22 @@ __all__ = [
 ]
 
 
-class CentralizedFairPolicy:
+class _SortedEligible:
+    """``sorted(eligible)``, redone only for a new eligible set object
+    (``engine.run`` passes the same frozenset until the fault plan fires)."""
+
+    _eligible = _order = None
+
+    def _sorted(self, eligible) -> list[RobotId]:
+        if eligible is not self._eligible:
+            order = sorted(eligible)
+            if not order:
+                raise ValueError("eligible set must be nonempty")
+            self._eligible, self._order = eligible, order
+        return self._order
+
+
+class CentralizedFairPolicy(_SortedEligible):
     """Round-robin over robot ids; exactly one robot per step.
 
     Robots that leave the eligible set (crash-removed) are skipped; frozen
@@ -39,19 +56,14 @@ class CentralizedFairPolicy:
         self._last: RobotId | None = None
 
     def next_activation(self, eligible, rng):
-        order = sorted(eligible)
-        if not order:
-            raise ValueError("eligible set must be nonempty")
-        if self._last is None:
-            pick = order[0]
-        else:
-            later = [r for r in order if r > self._last]
-            pick = later[0] if later else order[0]
+        order = self._sorted(eligible)
+        i = 0 if self._last is None else bisect_right(order, self._last)
+        pick = order[i] if i < len(order) else order[0]
         self._last = pick
         return frozenset((pick,))
 
 
-class ProbabilisticPolicy:
+class ProbabilisticPolicy(_SortedEligible):
     """Uniform draw over the nonempty subsets of the eligible robots.
 
     Equivalently, every robot flips a fair coin and the draw is repeated
@@ -59,14 +71,12 @@ class ProbabilisticPolicy:
     """
 
     def next_activation(self, eligible, rng):
-        order = sorted(eligible)
-        if not order:
-            raise ValueError("eligible set must be nonempty")
+        order = self._sorted(eligible)
         mask = rng.randrange(1, 1 << len(order))
         return frozenset(r for i, r in enumerate(order) if mask >> i & 1)
 
 
-class KBoundedPolicy:
+class KBoundedPolicy(_SortedEligible):
     """One robot per step, kept k-bounded by construction.
 
     Between two consecutive activations of any robot, no other robot may run
@@ -76,9 +86,16 @@ class KBoundedPolicy:
     policy picks uniformly among the safe robots. That needs only a step
     clock and each robot's last turn and k most recent turns. A robot that
     waited longest is always safe, so the candidate set is never empty.
-    Robots that leave the eligible set are forgotten. That bookkeeping and the
-    sorted order are redone only for a new eligible frozenset (``engine.run``
-    passes the same one until the fault plan fires).
+
+    The safe set is kept, not rescanned. A robot's oldest remembered turn
+    changes only when it is picked, and the earliest last turn only rises,
+    so an unpicked robot never turns unsafe. After each pick the picked
+    robot is re-settled and the unsafe robots (a heap keyed by their oldest
+    remembered turn) that the earliest last turn has reached become safe.
+    ``_last`` is kept in turn order, so the earliest last turn is its first
+    value. Robots that leave the eligible set are forgotten; that bookkeeping
+    and a full rebuild of both sets are done only for a new eligible
+    frozenset (``engine.run`` passes the same one until the fault plan fires).
     """
 
     def __init__(self, k: int):
@@ -86,28 +103,46 @@ class KBoundedPolicy:
         self._clock = 0
         self._last: dict[RobotId, int] = {}
         self._recent: dict[RobotId, deque] = {}
-        self._eligible = self._order = None
+        self._safe: list[RobotId] = []  # sorted ids
+        self._unsafe: list[tuple[int, RobotId]] = []  # heap of (oldest remembered turn, id)
 
-    def next_activation(self, eligible, rng):
-        now, last, recent = self._clock, self._last, self._recent
-        if eligible is not self._eligible:
-            order = sorted(eligible)
-            if not order:
-                raise ValueError("eligible set must be nonempty")
-            for gone in last.keys() - eligible:
-                del last[gone], recent[gone]
-            for r in order:
-                if r not in last:
-                    last[r], recent[r] = now - 1, deque(maxlen=self.k)
-            self._eligible, self._order = eligible, order
+    def _rebuild(self, eligible) -> None:
+        now, last, recent, k = self._clock, self._last, self._recent, self.k
+        order = self._sorted(eligible)
+        for gone in last.keys() - eligible:
+            del last[gone], recent[gone]
+        # Newcomers date from the previous step, no earlier than anyone's
+        # last turn, so appending them keeps ``last`` in turn order.
+        for r in order:
+            if r not in last:
+                last[r], recent[r] = now - 1, deque(maxlen=k)
+        earliest = next(iter(last.values()))
         # Only r's others count, but the robot holding the earliest last turn
         # has no turn after it, so the minimum over everyone gives the same set.
-        earliest = min(last.values())
-        safe = [r for r in self._order if len(recent[r]) < self.k or recent[r][0] <= earliest]
+        self._safe, self._unsafe = [], []
+        for r in order:
+            if len(recent[r]) < k or recent[r][0] <= earliest:
+                self._safe.append(r)
+            else:
+                self._unsafe.append((recent[r][0], r))
+        heapify(self._unsafe)
+
+    def next_activation(self, eligible, rng):
+        if eligible is not self._eligible:
+            self._rebuild(eligible)
+        now, last, safe, unsafe = self._clock, self._last, self._safe, self._unsafe
         pick = safe[rng.randrange(len(safe))] if len(safe) > 1 else safe[0]
+        del last[pick]
         last[pick] = now
-        recent[pick].append(now)
+        turns = self._recent[pick]
+        turns.append(now)
         self._clock = now + 1
+        earliest = next(iter(last.values()))
+        if len(turns) == self.k and turns[0] > earliest:
+            del safe[bisect_left(safe, pick)]
+            heappush(unsafe, (turns[0], pick))
+        while unsafe and unsafe[0][0] <= earliest:
+            insort(safe, heappop(unsafe)[1])
         return frozenset((pick,))
 
 

@@ -10,6 +10,7 @@ one PASS/FAIL line that the terminal summary prints as a block.
 import dataclasses
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from atomswarm.engine import RandomSource
 from atomswarm.geometry import Point
@@ -246,8 +247,8 @@ def test_criterion_10_coin_frequencies_match_declared_probabilities(acceptance):
     move_freqs = {}
     for n in (2, 4):
         source = RandomSource(random.Random(29))
-        view = tuple(Point(float(i), 0.0) for i in range(n))
-        me = view[0]
+        view = MappingProxyType({Point(float(i), 0.0): 1 for i in range(n)})
+        me = Point(0.0, 0.0)
         moved = sum(
             baseline_gather_step(view, me, source) != me for _ in range(draws)
         )

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,11 @@ from atomswarm.faults import (
     OscillatorStrategy,
     ScriptedStrategy,
     StayPutStrategy,
+    _worst_case_victim,
+    worst_case_crash_trigger,
 )
 from atomswarm.geometry import Point
+from atomswarm.markov import majority_threshold
 from atomswarm.schedulers import CentralizedFairPolicy, ProbabilisticPolicy, ScriptedPolicy
 
 
@@ -98,7 +102,8 @@ def test_removed_robots_vanish_from_snapshots_but_keep_their_status():
     robots = dict(config.robots)
     robots[1] = (robots[1][0], RobotStatus.CRASHED_REMOVED)
     config = Configuration(robots, 0)
-    assert config.snapshot() == (Point(0.0, 0.0), Point(2.0, 0.0))
+    assert [pos for _, pos, _ in config.visible_items()] == [Point(0.0, 0.0), Point(2.0, 0.0)]
+    assert config.occupancy == config.correct == {Point(0.0, 0.0): 1, Point(2.0, 0.0): 1}
     assert config.eligible() == frozenset({0, 2})
     assert config.status_of(1) is RobotStatus.CRASHED_REMOVED
 
@@ -309,6 +314,109 @@ def test_streamed_trace_lines_equal_the_reference_encoding(case):
     assert len(lines) == len(seen) == len(chosen)
     for line, config, activated in zip(lines, seen, chosen):
         assert line == json.dumps(trace_record(config, activated), sort_keys=True)
+
+
+def reference_view(config):
+    """(id, position, status) of every non-removed robot, counted afresh."""
+    return [(rid, pos, status) for rid, (pos, status) in config.robots.items() if status is not RobotStatus.CRASHED_REMOVED]
+
+
+# The predicates, the crash trigger and its victim rule as they were defined
+# over the full view, before configurations carried occupancy counts.
+
+
+def reference_is_gathered(config, weak=False):
+    view = reference_view(config)
+    if weak:
+        return len({pos for _, pos, status in view if status is RobotStatus.CORRECT}) <= 1
+    return len({pos for _, pos, _ in view}) <= 1
+
+
+def reference_is_scattered(config, weak=False):
+    view = reference_view(config)
+    counts = Counter(pos for _, pos, _ in view)
+    if not weak:
+        return all(c == 1 for c in counts.values())
+    return all(counts[pos] == 1 for _, pos, status in view if status is RobotStatus.CORRECT)
+
+
+def reference_trigger(config):
+    view = reference_view(config)
+    counts = Counter([pos for _, pos, status in view if status is RobotStatus.CORRECT])
+    return bool(counts) and max(counts.values()) >= majority_threshold(len(view))
+
+
+def reference_victim(config):
+    groups = {}
+    for rid, pos, status in reference_view(config):
+        if status is RobotStatus.CORRECT:
+            groups.setdefault(pos, []).append(rid)
+    top = max(map(len, groups.values()))
+    return min(groups[min(pos for pos, ids in groups.items() if len(ids) == top)])
+
+
+def check_counts_and_predicates(config):
+    view = reference_view(config)
+    assert config.occupancy == Counter(pos for _, pos, _ in view)
+    assert config.correct == Counter(pos for _, pos, status in view if status is RobotStatus.CORRECT)
+    assert 0 not in config.occupancy.values() and 0 not in config.correct.values()
+    for weak in (False, True):
+        assert is_gathered(config, weak) is reference_is_gathered(config, weak)
+        assert is_scattered(config, weak) is reference_is_scattered(config, weak)
+    assert worst_case_crash_trigger(config) is reference_trigger(config)
+    if config.correct:
+        assert _worst_case_victim(config) == reference_victim(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(faulted_runs())
+def test_carried_counts_equal_a_count_from_scratch(case):
+    """Multi-robot steps, timed and triggered freezes and removals, and
+    oscillator and scripted Byzantine moves: the counts each step derives
+    from its predecessor match a fresh count, and the predicates, the trigger
+    and the victim rule agree with their definitions over the full view."""
+    initial, plan, seed = case
+    seen = []
+
+    def record_config(config):
+        check_counts_and_predicates(config)
+        seen.append(config)
+        return False
+
+    try:
+        record = run(initial, ProbabilisticPolicy(), wander, plan, predicate=record_config, max_steps=40, seed=seed)
+    except ValueError as exc:
+        assert "already faulty" in str(exc)
+    else:
+        check_counts_and_predicates(record.final)
+    assert seen
+
+
+def test_steps_carry_counts_without_recounting(monkeypatch):
+    """A 500-step run at n=64 counts from scratch (and reads visible_items)
+    at the start and after each firing only, never per step."""
+    calls = []
+    visible_items = Configuration.visible_items
+
+    def counted(self):
+        calls.append(self.step_index)
+        return visible_items(self)
+
+    rng = random.Random(5)
+    initial = configuration_from_positions([(float(rng.randrange(8)), float(rng.randrange(8))) for _ in range(64)])
+    plan = FaultPlan(
+        f=3,
+        crashes=(CrashEvent(CrashMode.REMOVE, robot=5, at=100), CrashEvent(CrashMode.FREEZE, robot=9, at=300)),
+        byzantine={0: OscillatorStrategy()},
+    )
+    monkeypatch.setattr(Configuration, "visible_items", counted)
+    Configuration(initial.robots, 0)
+    assert calls == [0]  # a configuration built without counts counts via visible_items
+    calls.clear()
+    record = run(initial, CentralizedFairPolicy(), wander, plan, predicate=lambda c: False, max_steps=500, seed=3)
+    assert record.steps == 500
+    assert {0, 100, 300} == set(calls)
+    assert len(calls) <= 6
 
 
 def test_run_checks_the_predicate_before_any_step():

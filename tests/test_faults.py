@@ -118,7 +118,8 @@ def test_removed_robots_leave_the_snapshot():
     plan = FaultPlan(f=1, crashes=(CrashEvent(CrashMode.REMOVE, robot=1, at=0),))
     config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)])
     after = plan.fire(config, plan.new_state())
-    assert after.snapshot() == (Point(0.0, 0.0),)
+    assert [pos for _, pos, _ in after.visible_items()] == [Point(0.0, 0.0)]
+    assert after.occupancy == after.correct == {Point(0.0, 0.0): 1}
     assert after.eligible() == frozenset({0})
 
 

@@ -108,6 +108,17 @@ GOLDEN_CONFIGS = {
         max_steps=200,
         seed=18,
     ),
+    # Co-located robots: baseline-gather's choose indexes the sorted view
+    # with its duplicates, and several robots move in one step.
+    "baseline-colocated": dict(
+        n=5,
+        program="baseline-gather",
+        scheduler="probabilistic",
+        layout="explicit",
+        layout_params={"positions": [[0, 0], [0, 0], [1, 0], [2, 0], [2, 0]]},
+        trials=30,
+        seed=19,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -142,6 +153,10 @@ GOLDEN_DIGESTS = {
     "flip-flop-nearest": (
         "e682f24c7ccc68d945155fd43a41fd92ac1a514e68102985bd749da0301ae528",
         "6fbe13243ee61c869403730752d8c95d1d984c7ea8cc973c518e52445d6aaab7",
+    ),
+    "baseline-colocated": (
+        "921a1289bd0a72e9d8edbd7a9f86ba5e73f53f21db03fe69737a95cc78018e00",
+        "f78178d40544dfdb7c6243a6c2f1aed9619bfe77a1ddeb0e48554608b0229be2",
     ),
 }
 
@@ -189,3 +204,31 @@ def test_seeded_trace_matches_its_golden_digest(tmp_path):
     record = simulate_once(ExperimentConfig(**GOLDEN_TRACE_CONFIG), trace_path=trace)
     assert (record.converged, record.steps) == (True, 160)
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_DIGEST
+
+
+# Voronoi scattering from two groups under the probabilistic scheduler: many
+# robots move in one step, a timed freeze keeps one robot in its group and a
+# timed removal takes another out of every later observation.
+GOLDEN_SCATTER_TRACE_CONFIG = dict(
+    n=24,
+    program="voronoi-scatter",
+    scheduler="probabilistic",
+    layout="two-groups",
+    predicate="scattering",
+    faults={
+        "f": 2,
+        "crashes": [
+            {"mode": "freeze", "robot": 9, "at": 1},
+            {"mode": "remove", "robot": 4, "at": 2},
+        ],
+    },
+    seed=2026,
+)
+GOLDEN_SCATTER_TRACE_DIGEST = "ab983634e6a3a615c4e7da56b998c9f4fcafb80fd7c0f959deb834c00e7ac14f"
+
+
+def test_seeded_scatter_trace_matches_its_golden_digest(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    record = simulate_once(ExperimentConfig(**GOLDEN_SCATTER_TRACE_CONFIG), trace_path=trace)
+    assert (record.converged, record.steps) == (True, 13)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_SCATTER_TRACE_DIGEST

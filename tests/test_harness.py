@@ -250,7 +250,7 @@ def test_built_parts_pickle_and_give_each_trial_a_fresh_policy(fields):
 
 def positions(config, rng):
     """The initial positions of one trial of ``config``."""
-    return list(build_initial(config)(rng).snapshot())
+    return [pos for _, pos, _ in build_initial(config)(rng).visible_items()]
 
 
 def test_layouts_produce_the_requested_positions():

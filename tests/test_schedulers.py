@@ -2,7 +2,7 @@
 
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +115,93 @@ def test_k_bounded_picks_uniformly_from_the_reference_safe_set(k, size, seed, da
         expected = safe[rng_copy.randrange(len(safe))] if len(safe) > 1 else safe[0]
         assert policy.next_activation(frozenset(eligible), rng) == {expected}
         picks.append(expected)
+
+
+class ScanRoundRobin:
+    """Round robin as it was before the sorted order was cached: a sort and
+    a scan of every robot per step."""
+
+    def __init__(self):
+        self._last = None
+
+    def next_activation(self, eligible, rng):
+        order = sorted(eligible)
+        if self._last is None:
+            pick = order[0]
+        else:
+            later = [r for r in order if r > self._last]
+            pick = later[0] if later else order[0]
+        self._last = pick
+        return frozenset((pick,))
+
+
+class ScanProbabilistic:
+    """The probabilistic policy with a sort per step."""
+
+    def next_activation(self, eligible, rng):
+        order = sorted(eligible)
+        mask = rng.randrange(1, 1 << len(order))
+        return frozenset(r for i, r in enumerate(order) if mask >> i & 1)
+
+
+class ScanKBounded:
+    """The k-bounded policy as it was before the safe set was kept: a scan
+    of every robot's recent turns per step."""
+
+    def __init__(self, k):
+        self.k = k
+        self._clock = 0
+        self._last = {}
+        self._recent = {}
+        self._eligible = self._order = None
+
+    def next_activation(self, eligible, rng):
+        now, last, recent = self._clock, self._last, self._recent
+        if eligible is not self._eligible:
+            order = sorted(eligible)
+            for gone in last.keys() - eligible:
+                del last[gone], recent[gone]
+            for r in order:
+                if r not in last:
+                    last[r], recent[r] = now - 1, deque(maxlen=self.k)
+            self._eligible, self._order = eligible, order
+        earliest = min(last.values())
+        safe = [r for r in self._order if len(recent[r]) < self.k or recent[r][0] <= earliest]
+        pick = safe[rng.randrange(len(safe))] if len(safe) > 1 else safe[0]
+        last[pick] = now
+        recent[pick].append(now)
+        self._clock = now + 1
+        return frozenset((pick,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["k-bounded", "round-robin", "probabilistic"]),
+    n=st.integers(1, 20),
+    k=st.integers(1, 4),
+    steps=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kept_state_picks_like_the_per_step_scan(kind, n, k, steps, seed, data):
+    """Same rng, same picks, same draws: robots leave mid-run, and the same
+    eligible frozenset is passed until one does (sometimes an equal copy)."""
+    policy, reference = {
+        "k-bounded": (KBoundedPolicy(k), ScanKBounded(k)),
+        "round-robin": (CentralizedFairPolicy(), ScanRoundRobin()),
+        "probabilistic": (ProbabilisticPolicy(), ScanProbabilistic()),
+    }[kind]
+    removals = data.draw(st.dictionaries(st.integers(1, steps), st.integers(0, n - 1), max_size=n - 1), label="removals")
+    copies = data.draw(st.sets(st.integers(1, steps)), label="copies")
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    eligible = frozenset(range(n))
+    for now in range(steps):
+        if removals.get(now) in eligible and len(eligible) > 1:
+            eligible = eligible - {removals[now]}
+        elif now in copies:
+            eligible = frozenset(list(eligible))
+        assert policy.next_activation(eligible, rng) == reference.next_activation(eligible, reference_rng)
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def test_k_bounded_rejects_k_below_one():
