@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .geometry import Point
 
@@ -252,7 +252,10 @@ class TrialRecord:
 
 
 def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
-    """One trace line as a dict: step, activated ids, positions, statuses."""
+    """A full trace line as a dict: step, activated ids, positions, statuses.
+
+    ``run`` streams it as the start line only; ``expand_trace`` rebuilds it
+    for every later line."""
     positions = {}
     statuses = {}
     for rid, (pos, status) in config.robots.items():
@@ -268,29 +271,76 @@ def trace_record(config: Configuration, activated: Iterable[RobotId]) -> dict:
 
 
 class _TraceLines:
-    """``json.dumps(trace_record(config, activated), sort_keys=True)``, joined
-    from per-robot JSON fragments kept in the sorted order of the id strings
-    ("10" before "2"). ``update`` re-encodes only the robots that changed."""
+    """Delta trace lines of one run.
+
+    The start line is ``json.dumps(trace_record(config, ()), sort_keys=True)``.
+    Every later line has the same four keys, but ``positions`` lists only the
+    robots whose position changed since the line before it and ``statuses``
+    only those whose status changed; a robot that became crash-removed drops
+    out of the positions. A step can move only the robots it activated, so a
+    line compares those alone, plus every robot after a fault plan fired.
+    Lines are ``json.dumps(..., sort_keys=True)`` text, assembled by hand
+    because a json encoder costs microseconds per call. :func:`expand_trace`
+    rebuilds the full lines.
+    """
 
     def __init__(self, config: Configuration):
-        ids = sorted(config.robots, key=str)
-        self._slots = {rid: (i, json.dumps(str(rid)) + ": ") for i, rid in enumerate(ids)}
-        self._positions, self._statuses = [""] * len(ids), [""] * len(ids)
-        self.update(config, ids)
+        self._last = config.robots
+        self._fired: Iterable[RobotId] = ()
+        self.start = json.dumps(trace_record(config, ()), sort_keys=True)
 
-    def update(self, config: Configuration, robots: Iterable[RobotId]) -> None:
-        for rid in robots:
-            pos, status = config.robots[rid]
-            i, key = self._slots[rid]
-            self._positions[i] = "" if status is RobotStatus.CRASHED_REMOVED else key + json.dumps(pos)
-            self._statuses[i] = key + json.dumps(status.value)
+    def fired(self, config: Configuration) -> None:
+        """Compare every robot at the next line: ``config`` came from a fire."""
+        self._fired = config.robots
 
     def line(self, config: Configuration, activated: Iterable[RobotId]) -> str:
+        last, robots = self._last, config.robots
+        positions, statuses = {}, {}
+        for rid in (*activated, *self._fired):
+            pos, status = robots[rid]
+            old_pos, old_status = last[rid]
+            if status is not old_status:
+                statuses[str(rid)] = f'"{status.value}"'
+            # Equal coordinates can still print differently (0.0 and -0.0, 1 and 1.0).
+            if status is not RobotStatus.CRASHED_REMOVED and pos is not old_pos and (
+                pos != old_pos or repr(pos) != repr(old_pos)
+            ):
+                positions[str(rid)] = f"[{_json_number(pos[0])}, {_json_number(pos[1])}]"
+        self._last, self._fired = robots, ()
+        # Robot ids and the step are ints, whose str() is their JSON text.
         return (
-            f'{{"activated": {json.dumps(sorted(activated))}, '
-            f'"positions": {{{", ".join(filter(None, self._positions))}}}, '
-            f'"statuses": {{{", ".join(self._statuses)}}}, "step": {config.step_index}}}'
+            f'{{"activated": {sorted(activated)}, "positions": {{{_members(positions)}}}, '
+            f'"statuses": {{{_members(statuses)}}}, "step": {config.step_index}}}'
         )
+
+
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for a finite coordinate; floats skip the encoder."""
+    return float.__repr__(value) if isinstance(value, float) else json.dumps(value)
+
+
+def _members(encoded: dict[str, str]) -> str:
+    """The members of a JSON object from key -> encoded value, keys sorted."""
+    return ", ".join(f'"{key}": {encoded[key]}' for key in sorted(encoded))
+
+
+def expand_trace(lines: Iterable[str]) -> Iterator[str]:
+    """The full ``json.dumps(trace_record(...), sort_keys=True)`` text of each
+    delta trace line that ``run`` streamed, in order (trailing newlines are
+    ignored). The first line must be the run's start line."""
+    positions = statuses = None
+    for line in lines:
+        record = json.loads(line)
+        if positions is None:
+            positions, statuses = record["positions"], record["statuses"]
+        else:
+            positions.update(record["positions"])
+            statuses.update(record["statuses"])
+            for rid, status in record["statuses"].items():
+                if status == RobotStatus.CRASHED_REMOVED.value:
+                    positions.pop(rid, None)
+            record["positions"], record["statuses"] = positions, statuses
+        yield json.dumps(record, sort_keys=True)
 
 
 def run(
@@ -323,9 +373,10 @@ def run(
     the fault plan changes statuses, and it fires after the round check, so
     the eligible set a step was drawn from is also the one that closes it.
 
-    ``on_step`` receives the start line, then one trace line per step whose
-    ``activated`` field is the scheduler's choice at that step: the trace is
-    the run's only activation record, as ``trace_record`` JSON text.
+    ``on_step`` receives the start line, then one delta trace line per step
+    (see ``_TraceLines``) whose ``activated`` field is the scheduler's choice
+    at that step: the trace is the run's only activation record.
+    ``expand_trace`` turns the lines into full ``trace_record`` JSON text.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -349,7 +400,7 @@ def run(
     start = config.step_index
     trace = None if on_step is None else _TraceLines(config)
     if trace is not None:
-        on_step(trace.line(config, ()))
+        on_step(trace.start)
     if predicate(config):
         return TrialRecord(True, 0, 0, config)
 
@@ -365,7 +416,6 @@ def run(
             rounds += 1
             seen = set()
         if trace is not None:
-            trace.update(config, activated)
             on_step(trace.line(config, activated))
         if predicate(config):
             converged = True
@@ -373,5 +423,5 @@ def run(
         if plan is not None and (fired := plan.fire(config, fault_state)) is not config:
             config, eligible = fired, fired.eligible()
             if trace is not None:
-                trace.update(config, config.robots)
+                trace.fired(config)
     return TrialRecord(converged, config.step_index - start, rounds, config)

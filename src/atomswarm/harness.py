@@ -547,10 +547,17 @@ def compare_to_theory(stats: TrialStats, oracle, metric: str = "rounds") -> Theo
 
 
 def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
-    """Single seeded run, optionally exporting a JSONL trace."""
+    """Single seeded run, optionally exporting a JSONL trace of delta lines
+    (``engine.expand_trace`` turns them into full ``trace_record`` lines)."""
     parts = config.build()  # before the trace file exists, so a bad config leaves none
     trial_seed = derive_trial_seeds(config.seed, 1)[0]
     if trace_path is None:
         return _execute_trial(config, parts, trial_seed)
+    # Creating a file is far cheaper than truncating a large one in place, so
+    # an existing regular file is removed first; a device, FIFO or symlink
+    # (such as /dev/stdout) is opened as it is.
+    trace_path = Path(trace_path)
+    if trace_path.is_file() and not trace_path.is_symlink():
+        trace_path.unlink()
     with open(trace_path, "w") as fh:
         return _execute_trial(config, parts, trial_seed, lambda line: fh.write(line + "\n"))

@@ -2,8 +2,9 @@
 
 Each scenario is an ordinary experiment config run once on the harness's
 trial path under a scripted scheduler whose activations and coins are forced.
-The replay parses the JSONL trace lines it streams and checks the scenario's
-own claims on them; a report whose ``broken`` is set failed those checks.
+The replay expands the delta trace lines it streams to full records and
+checks the scenario's own claims on them; a report whose ``broken`` is set
+failed those checks.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .engine import TrialRecord
+from .engine import TrialRecord, expand_trace
 from .harness import ExperimentConfig, _execute_trial, derive_trial_seeds
 from .schedulers import audit
 
@@ -33,7 +34,7 @@ def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, 
     parts = config.build()
     lines: list[str] = []
     record = _execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], lines.append)
-    return record, [json.loads(line) for line in lines]
+    return record, [json.loads(line) for line in expand_trace(lines)]
 
 
 def _groups(trace: dict) -> dict[tuple, list[str]]:

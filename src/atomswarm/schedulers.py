@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from pathlib import Path
@@ -201,12 +201,21 @@ def audit(
     condition requires that while any robot waits between two of its
     activations, no other robot runs more than k times; the trace start and
     end count as waiting boundaries, so a robot monopolizing the prefix
-    before someone's first turn is a violation too.
+    before someone's first turn is a violation too. Robots outside the
+    population are ignored, and each check reports its first violation only.
+
+    Both checks take time linear in the history plus the population. The k
+    check keeps every robot's last turn in turn order (a robot that never
+    ran dates from step -1) and its k+1 most recent turns: robot x breaks
+    the bound exactly when its (k+1)-th most recent turn comes after the
+    earliest last turn among the other robots, which is the first entry
+    once the whole activation set is recorded.
     """
     pop = sorted(set(population))
     if not pop:
         raise ValueError("population must be nonempty")
-    sets = [frozenset(s) for s in history]
+    members = set(pop)
+    sets = [frozenset(s) & members for s in history]
     if window is None:
         window = len(pop) * (k if k else 1) * 4
     if window < 1:
@@ -215,21 +224,24 @@ def audit(
     violations: list[str] = []
     fair = True
     if len(sets) >= window:
-        in_window: Counter = Counter()
+        in_window = dict.fromkeys(pop, 0)
         for s in sets[:window]:
             for r in s:
                 in_window[r] += 1
+        missing = sum(1 for r in pop if in_window[r] == 0)  # robots at zero
         for start in range(len(sets) - window + 1):
             if start > 0:
                 for r in sets[start - 1]:
                     in_window[r] -= 1
+                    missing += in_window[r] == 0
                 for r in sets[start + window - 1]:
+                    missing -= in_window[r] == 0
                     in_window[r] += 1
-            missing = [r for r in pop if in_window[r] == 0]
             if missing:
                 fair = False
                 violations.append(
-                    f"window starting at step {start} never activates robots {missing}"
+                    f"window starting at step {start} never activates robots "
+                    f"{[r for r in pop if in_window[r] == 0]}"
                 )
                 break
 
@@ -238,26 +250,21 @@ def audit(
         if k < 1:
             raise ValueError("k must be >= 1")
         k_compliant = True
-        prefix = {r: [0] * (len(sets) + 1) for r in pop}
+        last = dict.fromkeys(pop, -1)
+        recent = {r: deque(maxlen=k + 1) for r in pop}
         for t, s in enumerate(sets):
-            for r in pop:
-                prefix[r][t + 1] = prefix[r][t] + (1 if r in s else 0)
-        for r in pop:
-            boundaries = [-1] + [t for t, s in enumerate(sets) if r in s] + [len(sets)]
-            for a, b in zip(boundaries, boundaries[1:]):
-                for other in pop:
-                    if other == r:
-                        continue
-                    between = prefix[other][b] - prefix[other][a + 1]
-                    if between > k:
-                        k_compliant = False
-                        violations.append(
-                            f"robot {other} ran {between} times between steps {a} and {b} "
-                            f"while robot {r} waited (k={k})"
-                        )
-                        break
-                else:
-                    continue
+            for r in s:
+                del last[r]
+                last[r] = t
+                recent[r].append(t)
+            waiter, since = next(iter(last.items()))
+            burst = next((x for x in s if len(recent[x]) > k and recent[x][0] > since), None)
+            if burst is not None:
+                k_compliant = False
+                violations.append(
+                    f"robot {burst} ran {k + 1} times in steps {recent[burst][0]}..{t} "
+                    f"while robot {waiter} waited after step {since} (k={k})"
+                )
                 break
     return AuditReport(fair, k_compliant, tuple(violations))
 

@@ -13,6 +13,7 @@ from atomswarm.engine import (
     RandomSource,
     RobotStatus,
     configuration_from_positions,
+    expand_trace,
     is_gathered,
     is_scattered,
     run,
@@ -312,8 +313,20 @@ def test_streamed_trace_lines_equal_the_reference_encoding(case):
         # A timed crash may name a robot a worst-case crash already struck.
         assert "already faulty" in str(exc)
     assert len(lines) == len(seen) == len(chosen)
-    for line, config, activated in zip(lines, seen, chosen):
+    expanded = list(expand_trace(lines))
+    for line, config, activated in zip(expanded, seen, chosen):
         assert line == json.dumps(trace_record(config, activated), sort_keys=True)
+    assert lines[0] == expanded[0]
+    for line, before, after in zip(lines[1:], seen, seen[1:]):
+        delta = json.loads(line)
+        moved = {
+            str(rid)
+            for rid, (pos, status) in after.robots.items()
+            if status is not RobotStatus.CRASHED_REMOVED and json.dumps(pos) != json.dumps(before.position_of(rid))
+        }
+        restatused = {str(rid) for rid, (_, status) in after.robots.items() if status is not before.status_of(rid)}
+        assert set(delta["positions"]) == moved
+        assert set(delta["statuses"]) == restatused
 
 
 def reference_view(config):

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from atomswarm.engine import expand_trace
 from atomswarm.harness import ExperimentConfig, run_experiment, simulate_once
 
 SCRIPT = {
@@ -175,10 +176,19 @@ def test_seeded_outputs_match_their_golden_digests(name, tmp_path):
     assert _digests(name, tmp_path) == GOLDEN_DIGESTS[name]
 
 
+def _trace_digests(trace) -> tuple[str, str]:
+    """SHA-256 of a trace file as written (delta lines) and as expanded to
+    full ``trace_record`` lines."""
+    expanded = "".join(line + "\n" for line in expand_trace(trace.read_text().splitlines()))
+    return hashlib.sha256(trace.read_bytes()).hexdigest(), hashlib.sha256(expanded.encode()).hexdigest()
+
+
 # One faulted k-bounded run at n=64: a Byzantine oscillator, a worst-case
-# freeze and a timed removal. Its JSONL trace is pinned byte for byte, so a
-# change to how trace lines are built (key order, number formatting, which
-# robots a line lists) fails here.
+# freeze and a timed removal. Its JSONL trace is pinned byte for byte, both
+# as written and expanded, so a change to how trace lines are built (key
+# order, number formatting, which robots a line lists) fails here. The
+# expanded digest is that of the full lines written before traces listed
+# only what changed.
 GOLDEN_TRACE_CONFIG = dict(
     n=64,
     program="multiplicity-gather",
@@ -197,13 +207,14 @@ GOLDEN_TRACE_CONFIG = dict(
     seed=2024,
 )
 GOLDEN_TRACE_DIGEST = "b442956f46869eb0f3ff7bfaf4f26e6f9342e6903b51f1df5602dacec43eccef"
+GOLDEN_TRACE_DELTA_DIGEST = "eb82732b49f72ea7ff41d5c59b93fe5700281189442d82362cbbe82c58ef4081"
 
 
 def test_seeded_trace_matches_its_golden_digest(tmp_path):
     trace = tmp_path / "trace.jsonl"
     record = simulate_once(ExperimentConfig(**GOLDEN_TRACE_CONFIG), trace_path=trace)
     assert (record.converged, record.steps) == (True, 160)
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_TRACE_DIGEST
+    assert _trace_digests(trace) == (GOLDEN_TRACE_DELTA_DIGEST, GOLDEN_TRACE_DIGEST)
 
 
 # Voronoi scattering from two groups under the probabilistic scheduler: many
@@ -225,10 +236,11 @@ GOLDEN_SCATTER_TRACE_CONFIG = dict(
     seed=2026,
 )
 GOLDEN_SCATTER_TRACE_DIGEST = "ab983634e6a3a615c4e7da56b998c9f4fcafb80fd7c0f959deb834c00e7ac14f"
+GOLDEN_SCATTER_TRACE_DELTA_DIGEST = "5764d0471593b592d3a62d43a1a2f6a3077e35d5599d2172bd13f01b0b7edddb"
 
 
 def test_seeded_scatter_trace_matches_its_golden_digest(tmp_path):
     trace = tmp_path / "trace.jsonl"
     record = simulate_once(ExperimentConfig(**GOLDEN_SCATTER_TRACE_CONFIG), trace_path=trace)
     assert (record.converged, record.steps) == (True, 13)
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_SCATTER_TRACE_DIGEST
+    assert _trace_digests(trace) == (GOLDEN_SCATTER_TRACE_DELTA_DIGEST, GOLDEN_SCATTER_TRACE_DIGEST)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import pickle
 import random
 import re
@@ -514,6 +515,25 @@ def test_a_bad_config_leaves_no_trace_file(tmp_path):
     with pytest.raises(ConfigError, match="byzantine robot 5"):
         simulate_once(config, trace_path=trace)
     assert not trace.exists()
+
+
+def test_an_existing_trace_file_is_replaced_not_truncated(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("old\n")
+    os.link(trace, tmp_path / "kept.jsonl")  # a second name keeps the old file
+    simulate_once(baseline_pair_config(trials=1, seed=4), trace_path=trace)
+    assert (tmp_path / "kept.jsonl").read_text() == "old\n"
+    assert json.loads(trace.read_text().splitlines()[0])["activated"] == []
+
+
+def test_a_symlinked_trace_path_is_written_through(tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    simulate_once(baseline_pair_config(trials=1, seed=4), trace_path=link)
+    assert link.is_symlink()
+    assert json.loads(target.read_text().splitlines()[0])["activated"] == []
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():

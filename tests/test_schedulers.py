@@ -246,6 +246,34 @@ def test_alternating_traces_are_one_bounded():
     assert report.k_compliant is True
 
 
+def reference_audit(history, population, k, window):
+    """(fair, k_compliant) by brute force: every window, every waiting interval."""
+    pop = set(population)
+    sets = [set(s) for s in history]
+    fair = all(pop <= set().union(*sets[i : i + window]) for i in range(len(sets) - window + 1))
+    k_compliant = True
+    for r in pop:
+        boundaries = [-1] + [t for t, s in enumerate(sets) if r in s] + [len(sets)]
+        for a, b in zip(boundaries, boundaries[1:]):
+            for other in pop - {r}:
+                if sum(other in s for s in sets[a + 1 : b]) > k:
+                    k_compliant = False
+    return fair, k_compliant
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4), max_size=40),
+    st.sets(st.integers(0, 4), min_size=1),
+    st.integers(1, 3),
+    st.integers(1, 8),
+)
+def test_audit_agrees_with_a_brute_force_reference(history, population, k, window):
+    report = audit(history, population, k=k, window=window)
+    assert (report.fair, report.k_compliant) == reference_audit(history, population, k, window)
+    assert len(report.violations) == (not report.fair) + (not report.k_compliant)
+
+
 def test_audit_without_k_reports_none():
     report = audit([{1}, {2}], {1, 2})
     assert report.k_compliant is None
