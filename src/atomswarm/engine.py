@@ -114,9 +114,6 @@ class Configuration:
     def position_of(self, robot: RobotId) -> Point:
         return self.robots[robot][0]
 
-    def status_of(self, robot: RobotId) -> RobotStatus:
-        return self.robots[robot][1]
-
     def visible_items(self) -> list[tuple[RobotId, Point, RobotStatus]]:
         """(id, position, status) for every non-removed robot, in the order
         of ``robots`` (id order for every configuration built here)."""

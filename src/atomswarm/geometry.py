@@ -55,9 +55,6 @@ class Point(tuple):
     def __repr__(self) -> str:
         return f"Point(x={self[0]!r}, y={self[1]!r})"
 
-    def distance_to(self, other: "Point") -> float:
-        return math.dist(self, other)
-
     def squared_distance_to(self, other: "Point") -> float:
         dx = self[0] - other[0]
         dy = self[1] - other[1]

@@ -504,13 +504,9 @@ def read_trials_csv(path) -> list[dict]:
     return records
 
 
-# Ratio band of observed mean to oracle that counts as consistent.
-THEORY_BAND = (0.25, 4.0)
-
-
 @dataclass(frozen=True)
 class TheoryComparison:
-    """Observed batch mean against an analytic value, with a tolerance band.
+    """Observed batch mean against an exact value, with the mean's standard error.
 
     ``metric`` states explicitly whether rounds or steps were compared; the
     two differ by roughly the robot count under one-robot-per-step
@@ -520,30 +516,28 @@ class TheoryComparison:
     metric: str
     observed_mean: float | None
     oracle: float
-    ratio: float | None
-    band: tuple[float, float]
+    std_error: float | None
     verdict: str
 
 
-def compare_to_theory(stats: TrialStats, oracle, metric: str = "rounds") -> TheoryComparison:
-    """Verdict on whether a batch mean is within ``THEORY_BAND`` times the oracle.
+def compare_to_theory(stats: TrialStats, oracle: float, metric: str = "rounds") -> TheoryComparison:
+    """Verdict on whether a batch mean is within 4 standard errors of ``oracle``.
 
-    ``oracle`` is a number or anything exposing ``expected_steps``. With no
-    converged trials the verdict is "no convergence" and the ratio is None.
+    The standard error is std/sqrt(converged), so a batch without spread is
+    consistent only when its mean equals the oracle. With no converged trials
+    the verdict is "no convergence".
     """
-    value = getattr(oracle, "expected_steps", oracle)
-    oracle_value = float(value)
-    if oracle_value == 0:
-        raise ValueError("oracle value must be nonzero")
+    oracle_value = float(oracle)
+    if not math.isfinite(oracle_value):
+        raise ValueError(f"oracle must be finite, got {oracle_value}")
     if metric not in ("rounds", "steps"):
         raise ValueError(f"metric must be 'rounds' or 'steps', got {metric!r}")
-    low, high = THEORY_BAND
-    observed = stats.mean_rounds if metric == "rounds" else stats.mean_steps
-    if stats.converged == 0 or observed is None:
-        return TheoryComparison(metric, None, oracle_value, None, THEORY_BAND, "no convergence")
-    ratio = observed / oracle_value
-    verdict = "consistent" if low <= ratio <= high else "inconsistent"
-    return TheoryComparison(metric, observed, oracle_value, ratio, THEORY_BAND, verdict)
+    if stats.converged == 0:
+        return TheoryComparison(metric, None, oracle_value, None, "no convergence")
+    observed = getattr(stats, f"mean_{metric}")
+    std_error = getattr(stats, f"std_{metric}") / math.sqrt(stats.converged)
+    verdict = "consistent" if abs(observed - oracle_value) <= 4 * std_error else "inconsistent"
+    return TheoryComparison(metric, observed, oracle_value, std_error, verdict)
 
 
 def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:

@@ -1,4 +1,4 @@
-"""Analytic oracles: birth-death chains, hitting times, and bound formulas.
+"""Analytic oracles: birth-death chains, hitting times, and exact step counts.
 
 The two chains of interest track the size of the largest co-located group
 (gathering) and the number of distinct occupied positions (scattering). Both
@@ -6,6 +6,8 @@ only ever stay or advance, so expected hitting times have the closed form
 sum of 1/p_advance over the path. Transition probabilities are exact
 fractions and the closed form is summed in exact arithmetic, converted to
 float only at the end; an independent dense linear solver cross-checks it.
+``centralized_fair_gathering_steps`` is the exact mean of the simulated
+system itself: multiplicity-gather under the centralized-fair scheduler.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ __all__ = [
     "BirthDeathChain",
     "HittingTimeResult",
     "MonteCarloEstimate",
-    "CrashBound",
     "gathering_chain",
     "scattering_chain",
     "hitting_time_birth_death",
     "hitting_time_general",
     "simulate_chain",
     "majority_threshold",
-    "bound_gathering",
-    "bound_gathering_crash",
+    "centralized_fair_gathering_steps",
     "CHAINS",
     "chain_report",
 ]
@@ -217,29 +217,19 @@ def majority_threshold(n: int) -> int:
     return n // 2 + 1
 
 
-def bound_gathering(n: int) -> float:
-    """Round bound for fault-free gathering: a*ln(a) + 1 at the majority threshold a."""
-    a = majority_threshold(n)
-    return a * math.log(a) + 1.0
+def centralized_fair_gathering_steps(n: int) -> Fraction:
+    """Exact expected steps of multiplicity-gather under centralized-fair
+    activation from n distinct points: n(2n-3)/(n-1).
 
-
-class CrashBound(NamedTuple):
-    value: float
-    per_crash_penalty: float
-
-
-def bound_gathering_crash(n: int, f: int) -> CrashBound:
-    """Round bound with f crashes: a*ln(a) + 2f.
-
-    Each crash knocks the largest group back by one robot, and rebuilding
-    that robot costs n/(n-a) rounds in expectation, about 2; the bound
-    charges a flat 2 per crash and the exact penalty is reported alongside.
+    Each activated robot stands on one of n tied tops and moves with
+    probability 1/n, so the first pair forms after n steps on average. The
+    top is then unique and the run ends once every other robot has had its
+    turn: n-1 more steps, or n-2 when the robot joined was the mover's
+    predecessor in the order, which has probability 1/(n-1).
     """
-    if f < 0:
-        raise ValueError("f must be >= 0")
-    a = majority_threshold(n)
-    penalty = n / (n - a) if n > a else math.inf
-    return CrashBound(a * math.log(a) + 2.0 * f, penalty)
+    if n < 2:
+        raise ValueError("need at least two robots")
+    return Fraction(n * (2 * n - 3), n - 1)
 
 
 CHAINS = {
@@ -256,13 +246,8 @@ def chain_report(
     mc_trials: int = 0,
     seed: int = 0,
 ) -> dict:
-    """Oracle summary for one chain query, JSON-ready.
-
-    ``closed_form_bound`` is the analysis bound for full convergence at this
-    n: a*ln(a) + 1 for gathering, n + 4/3 for scattering. The exact hitting
-    time for the requested states is reported next to it so the two can be
-    compared directly.
-    """
+    """Oracle summary for one chain query, JSON-ready: the exact hitting
+    time between the requested states and an optional Monte Carlo estimate."""
     try:
         chain = CHAINS[chain_name](n)
     except KeyError:
@@ -270,17 +255,12 @@ def chain_report(
     if to_state is None:
         to_state = chain.n_states
     result = hitting_time_birth_death(chain, from_state, to_state)
-    if chain_name == "gathering":
-        bound = bound_gathering(n)
-    else:
-        bound = n + 4.0 / 3.0
     report = {
         "chain": chain_name,
         "n": n,
         "from": from_state,
         "to": to_state,
         "exact": result.expected_steps,
-        "closed_form_bound": bound,
         "mc_mean": None,
         "mc_ci": None,
     }

@@ -165,9 +165,6 @@ class ScriptedPolicy:
         self.coin_overrides = coin_overrides
         self._cursor = 0
 
-    def __len__(self) -> int:
-        return len(self._script)
-
     def next_activation(self, eligible, rng):
         if self._cursor >= len(self._script):
             raise RuntimeError("script exhausted")

@@ -16,16 +16,27 @@ from atomswarm.engine import RandomSource
 from atomswarm.geometry import Point
 from atomswarm.harness import ExperimentConfig, compare_to_theory, run_experiment
 from atomswarm.markov import (
-    bound_gathering_crash,
+    centralized_fair_gathering_steps,
     gathering_chain,
     hitting_time_birth_death,
     hitting_time_general,
-    majority_threshold,
     scattering_chain,
     simulate_chain,
 )
 from atomswarm.programs import baseline_gather_step, random_bit
 from atomswarm.scenarios import FLIP_FLOP_SCENARIO, replay_counterexample, run_flip_flop_witness
+
+
+def gate(stats, exact, metric="steps"):
+    """The 4-standard-error verdict on a batch mean, and a line describing it."""
+    comparison = compare_to_theory(stats, exact, metric=metric)
+    if comparison.observed_mean is None:
+        return False, f"no trial converged against exact {float(exact):.4f}"
+    line = (
+        f"mean {metric} {comparison.observed_mean:.4f} vs exact {comparison.oracle:.4f} "
+        f"(4 SE = {4 * comparison.std_error:.4f})"
+    )
+    return comparison.verdict == "consistent", line
 
 
 def test_criterion_01_hitting_time_solvers_agree(acceptance):
@@ -91,17 +102,16 @@ def test_criterion_04_two_robots_gather_in_two_expected_steps(acceptance):
         workers=4,
     )
     stats, _ = run_experiment(config)
-    ok = stats.converged_fraction == 1.0 and abs(stats.mean_steps - 2.0) <= 0.05
-    detail = (
-        f"100k two-robot trials all converged, mean steps "
-        f"{stats.mean_steps:.4f} within 0.05 of 2"
-    )
+    exact = hitting_time_birth_death(gathering_chain(2), 1, 2).exact
+    consistent, line = gate(stats, exact)
+    ok = exact == 2 and stats.converged_fraction == 1.0 and consistent
+    detail = f"100k two-robot trials all converged, {line}, the exact value being 2"
     assert acceptance(4, ok, detail), detail
 
 
 def test_criterion_05_gathering_tracks_the_chain_oracle(acceptance):
-    config8 = ExperimentConfig(
-        n=8,
+    config16 = ExperimentConfig(
+        n=16,
         program="multiplicity-gather",
         scheduler="centralized-fair",
         layout="random-uniform",
@@ -110,29 +120,31 @@ def test_criterion_05_gathering_tracks_the_chain_oracle(acceptance):
         seed=1,
         workers=4,
     )
-    stats8, _ = run_experiment(config8)
-    stats16, _ = run_experiment(dataclasses.replace(config8, n=16))
-    # Majority-formation time plus the final absorbing activation.
-    chain = gathering_chain(8)
-    oracle = hitting_time_birth_death(chain, 1, majority_threshold(8)).expected_steps + 1.0
-    comparison = compare_to_theory(stats8, oracle, metric="steps")
-    rounds_ratio = stats8.mean_rounds / oracle
+    stats8, _ = run_experiment(dataclasses.replace(config16, n=8, trials=20_000))
+    stats16, _ = run_experiment(config16)
+    consistent8, line8 = gate(stats8, centralized_fair_gathering_steps(8))
+    consistent16, line16 = gate(stats16, centralized_fair_gathering_steps(16))
     monotone = stats16.mean_rounds > stats8.mean_rounds
     ok = (
         stats8.converged_fraction == 1.0
         and stats16.converged_fraction == 1.0
-        and comparison.verdict == "consistent"
+        and consistent8
+        and consistent16
         and monotone
     )
     detail = (
-        f"n=8 steps/oracle ratio {comparison.ratio:.2f} in (0.25, 4), rounds/oracle "
-        f"ratio {rounds_ratio:.2f}, mean rounds grow {stats8.mean_rounds:.3f} -> "
-        f"{stats16.mean_rounds:.3f} at n=16"
+        f"exact n(2n-3)/(n-1) within 4 SE: n=8 {line8}, n=16 {line16}; mean rounds "
+        f"grow {stats8.mean_rounds:.3f} -> {stats16.mean_rounds:.3f}"
     )
     assert acceptance(5, ok, detail), detail
 
 
 def test_criterion_06_gathering_survives_worst_case_freezes(acceptance):
+    """Its exact mean is the fault-free one, 104/7 steps. The freezes fire once
+    the top group holds a majority, so the top is unique, and each strikes a
+    robot on it. A correct robot on the unique top stays without drawing
+    randomness and a frozen robot's turn changes nothing, so every row equals
+    that of the fault-free run."""
     config = ExperimentConfig(
         n=8,
         program="multiplicity-gather",
@@ -147,17 +159,16 @@ def test_criterion_06_gathering_survives_worst_case_freezes(acceptance):
                 {"mode": "freeze", "when": "max_group_reaches_alpha"},
             ],
         },
-        trials=2000,
+        trials=20_000,
         seed=5,
         workers=4,
     )
     stats, _ = run_experiment(config)
-    bound = bound_gathering_crash(8, 2)
-    ceiling = 2.0 * bound.value
-    ok = stats.converged_fraction == 1.0 and stats.mean_rounds <= ceiling
+    consistent, line = gate(stats, centralized_fair_gathering_steps(8))
+    ok = stats.converged_fraction == 1.0 and consistent
     detail = (
-        f"2000 trials with 2 adversarial freezes all reached weak gathering, "
-        f"mean rounds {stats.mean_rounds:.3f} <= {ceiling:.2f}"
+        f"20k trials with 2 adversarial freezes all reached weak gathering, "
+        f"{line}, the fault-free exact value"
     )
     assert acceptance(6, ok, detail), detail
 

@@ -26,6 +26,7 @@ def test_chain_query_prints_the_exact_hitting_time(capsys):
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"chain", "n", "from", "to", "exact", "mc_mean", "mc_ci"}
     assert report["chain"] == "gathering"
     assert report["exact"] == pytest.approx(10 / 3, abs=1e-15)
     assert report["mc_mean"] is None
@@ -342,8 +343,17 @@ def test_report_compares_within_the_fixed_band_and_takes_no_band_option(capsys, 
     assert main(["report", "--csv", str(trials), "--oracle", "2"]) == 0
     comparison = json.loads(capsys.readouterr().out)[0]["comparison"]
     assert comparison["verdict"] == "consistent"
-    assert comparison["band"] == [0.25, 4.0]
     with pytest.raises(SystemExit) as err:
         main(["report", "--csv", str(trials), "--oracle", "2", "--band", "1", "2"])
     assert err.value.code == 1
     assert "unrecognized arguments: --band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", ["nan", "inf"])
+def test_report_rejects_a_non_finite_oracle(capsys, tmp_path, oracle):
+    trials = tmp_path / "trials.csv"
+    trials.write_text("trial_id,seed,converged,steps,rounds\n0,1,true,3,2\n")
+    assert main(["report", "--csv", str(trials), "--oracle", oracle]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle must be finite")

@@ -89,7 +89,7 @@ def test_configuration_from_positions_assigns_ids_in_order():
     config = configuration_from_positions([(0.0, 0.0), (1.0, 2.0)])
     assert sorted(config.robots) == [0, 1]
     assert config.position_of(1) == Point(1.0, 2.0)
-    assert config.status_of(0) is RobotStatus.CORRECT
+    assert config.robots[0][1] is RobotStatus.CORRECT
     assert config.step_index == 0
 
 
@@ -106,7 +106,7 @@ def test_removed_robots_vanish_from_snapshots_but_keep_their_status():
     assert [pos for _, pos, _ in config.visible_items()] == [Point(0.0, 0.0), Point(2.0, 0.0)]
     assert config.occupancy == config.correct == {Point(0.0, 0.0): 1, Point(2.0, 0.0): 1}
     assert config.eligible() == frozenset({0, 2})
-    assert config.status_of(1) is RobotStatus.CRASHED_REMOVED
+    assert config.robots[1][1] is RobotStatus.CRASHED_REMOVED
 
 
 def test_simultaneously_activated_robots_see_the_same_snapshot():
@@ -324,7 +324,7 @@ def test_streamed_trace_lines_equal_the_reference_encoding(case):
             for rid, (pos, status) in after.robots.items()
             if status is not RobotStatus.CRASHED_REMOVED and json.dumps(pos) != json.dumps(before.position_of(rid))
         }
-        restatused = {str(rid) for rid, (_, status) in after.robots.items() if status is not before.status_of(rid)}
+        restatused = {str(rid) for rid, (_, status) in after.robots.items() if status is not before.robots[rid][1]}
         assert set(delta["positions"]) == moved
         assert set(delta["statuses"]) == restatused
 
@@ -477,7 +477,7 @@ def test_run_marks_byzantine_robots_from_the_plan():
         config, CentralizedFairPolicy(), hop_to_other, plan,
         predicate=is_gathered, max_steps=4,
     )
-    assert record.final.status_of(1) is RobotStatus.BYZANTINE
+    assert record.final.robots[1][1] is RobotStatus.BYZANTINE
     assert record.converged
     assert record.steps == 1
 

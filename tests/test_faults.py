@@ -72,7 +72,7 @@ def test_firing_freezes_the_lowest_id_robot_in_the_biggest_group():
     config = configuration_from_positions([(0.0, 0.0)] * 3 + [(5.0, 5.0)])
     state = plan.new_state()
     after = plan.fire(config, state)
-    assert after.status_of(0) is RobotStatus.CRASHED_FROZEN
+    assert after.robots[0][1] is RobotStatus.CRASHED_FROZEN
     assert state == [True]
     assert after.step_index == config.step_index
 
@@ -83,7 +83,7 @@ def test_adversarial_victim_choice_is_deterministic_on_group_ties():
         [(5.0, 5.0), (5.0, 5.0), (0.0, 0.0), (0.0, 0.0)]
     )
     after = plan.fire(config, plan.new_state())
-    assert after.status_of(2) is RobotStatus.CRASHED_FROZEN
+    assert after.robots[2][1] is RobotStatus.CRASHED_FROZEN
 
 
 def test_events_fire_once_and_later_events_see_earlier_strikes():
@@ -99,7 +99,7 @@ def test_events_fire_once_and_later_events_see_earlier_strikes():
     after = plan.fire(config, state)
     assert state == [True, True]
     frozen = [
-        rid for rid in sorted(after.robots) if after.status_of(rid) is RobotStatus.CRASHED_FROZEN
+        rid for rid in sorted(after.robots) if after.robots[rid][1] is RobotStatus.CRASHED_FROZEN
     ]
     assert frozen == [0, 1]
     assert not worst_case_crash_trigger(after)

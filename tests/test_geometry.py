@@ -77,17 +77,17 @@ def test_points_pickle_round_trip(p):
 
 @given(points, points)
 def test_distance_equals_hypot_bit_for_bit(a, b):
-    assert a.distance_to(b).hex() == math.hypot(a.x - b.x, a.y - b.y).hex()
+    assert math.dist(a, b).hex() == math.hypot(a.x - b.x, a.y - b.y).hex()
 
 
 def test_distance_is_euclidean():
-    assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == 5.0
+    assert math.dist(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
     assert Point(1.0, 1.0).squared_distance_to(Point(2.0, 3.0)) == 5.0
 
 
 @given(points, points)
 def test_distance_is_symmetric(a, b):
-    assert a.distance_to(b) == b.distance_to(a)
+    assert math.dist(a, b) == math.dist(b, a)
 
 
 def test_multiplicities_use_exact_coordinate_equality():

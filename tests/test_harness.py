@@ -459,42 +459,55 @@ def test_aggregation_counts_errors_and_uses_converged_trials_only():
     assert stats.rounds_histogram == {1: 1, 3: 1}
 
 
+def _batch(metric_values, converged=True):
+    return aggregate_trials(
+        [
+            {"trial_id": i, "seed": i, "converged": converged, "steps": v, "rounds": v}
+            for i, v in enumerate(metric_values)
+        ]
+    )
+
+
 def test_theory_comparison_bands():
-    stats = aggregate_trials(
-        [{"trial_id": 0, "seed": 1, "converged": True, "steps": 10, "rounds": 5}]
-    )
-    consistent = compare_to_theory(stats, 4.0, metric="rounds")
-    assert consistent.verdict == "consistent"
-    assert consistent.ratio == pytest.approx(1.25)
-    assert consistent.metric == "rounds"
+    # Mean 3, std sqrt(2), so the standard error over two trials is 1 and the
+    # band is 3 +- 4.
+    stats = _batch([2, 4])
+    inside = compare_to_theory(stats, 6.9, metric="rounds")
+    assert inside.verdict == "consistent"
+    assert inside.std_error == pytest.approx(1.0)
+    assert inside.observed_mean == 3.0
+    assert inside.metric == "rounds"
+    assert compare_to_theory(stats, -0.9, metric="steps").verdict == "consistent"
+    assert compare_to_theory(stats, 7.1, metric="steps").verdict == "inconsistent"
+    assert compare_to_theory(stats, -1.1, metric="steps").verdict == "inconsistent"
 
-    off = compare_to_theory(stats, 100.0, metric="steps")
-    assert off.verdict == "inconsistent"
-
-    unconverged = aggregate_trials(
-        [{"trial_id": 0, "seed": 1, "converged": False, "steps": 9, "rounds": 9}]
-    )
-    assert compare_to_theory(unconverged, 4.0).verdict == "no convergence"
+    unconverged = compare_to_theory(_batch([9, 9], converged=False), 4.0)
+    assert unconverged.verdict == "no convergence"
+    assert unconverged.observed_mean is None and unconverged.std_error is None
 
 
 def test_theory_comparison_validates_inputs():
-    stats = aggregate_trials(
-        [{"trial_id": 0, "seed": 1, "converged": True, "steps": 1, "rounds": 1}]
-    )
-    with pytest.raises(ValueError):
-        compare_to_theory(stats, 0.0)
+    stats = _batch([5, 6])
+    for oracle in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="oracle must be finite"):
+            compare_to_theory(stats, oracle)
     with pytest.raises(ValueError):
         compare_to_theory(stats, 1.0, metric="minutes")
+    # Zero is a finite exact value like any other.
+    assert compare_to_theory(stats, 0.0).verdict == "inconsistent"
 
 
 def test_oracle_objects_expose_their_expected_steps():
-    stats = aggregate_trials(
-        [{"trial_id": 0, "seed": 1, "converged": True, "steps": 3, "rounds": 3}]
-    )
-    oracle = hitting_time_birth_death(gathering_chain(4), 1, 3)
-    comparison = compare_to_theory(stats, oracle, metric="rounds")
-    assert comparison.oracle == pytest.approx(10 / 3)
+    # No spread: the standard error is 0, so only the exact mean is consistent.
+    stats = _batch([2, 2])
+    two = hitting_time_birth_death(gathering_chain(2), 1, 2)
+    comparison = compare_to_theory(stats, two.exact, metric="steps")
+    assert comparison.std_error == 0.0
+    assert comparison.oracle == 2.0
     assert comparison.verdict == "consistent"
+    ten_thirds = hitting_time_birth_death(gathering_chain(4), 1, 3).expected_steps
+    assert compare_to_theory(stats, ten_thirds, metric="steps").verdict == "inconsistent"
+    assert compare_to_theory(stats, 2.0 + 1e-12, metric="steps").verdict == "inconsistent"
 
 
 def test_single_simulations_can_stream_traces(tmp_path):
@@ -537,10 +550,11 @@ def test_a_symlinked_trace_path_is_written_through(tmp_path):
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():
-    policy = scripted_policy_from(build_counterexample_script(cycles=25), 4)
+    script = build_counterexample_script(cycles=25)
+    policy = scripted_policy_from(script, 4)
     pool = frozenset({0, 1, 2, 3})
     rng = random.Random(0)
-    history = [policy.next_activation(pool, rng) for _ in range(len(policy))]
+    history = [policy.next_activation(pool, rng) for _ in script["activations"]]
     report = audit(history, pool, k=3)
     assert report.fair
     assert report.k_compliant

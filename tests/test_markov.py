@@ -1,6 +1,5 @@
-"""Birth-death oracles: exact hitting times, solver agreement, bounds."""
+"""Birth-death oracles: exact hitting times, solver agreement, exact step counts."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +8,7 @@ import pytest
 from atomswarm.markov import (
     CHAINS,
     BirthDeathChain,
-    bound_gathering,
-    bound_gathering_crash,
+    centralized_fair_gathering_steps,
     chain_report,
     gathering_chain,
     hitting_time_birth_death,
@@ -132,31 +130,26 @@ def test_simulate_chain_validates_states():
         simulate_chain(chain, 3, 1, 10)
 
 
-def test_full_gathering_bound_value():
-    a = majority_threshold(10)
-    assert bound_gathering(10) == pytest.approx(a * math.log(a) + 1, abs=1e-12)
+def test_centralized_fair_gathering_steps_are_exact():
+    expected = {2: 2, 3: Fraction(9, 2), 4: Fraction(20, 3), 8: Fraction(104, 7), 16: Fraction(464, 15)}
+    for n, value in expected.items():
+        assert centralized_fair_gathering_steps(n) == value
+    # Two robots: each turn moves onto the other with probability 1/2, exactly the gathering chain.
+    assert centralized_fair_gathering_steps(2) == hitting_time_birth_death(gathering_chain(2), 1, 2).exact
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError):
+            centralized_fair_gathering_steps(n)
 
 
-def test_crash_bound_value_and_penalty():
-    bound = bound_gathering_crash(8, 2)
-    assert bound.value == pytest.approx(5 * math.log(5) + 4, abs=1e-12)
-    assert bound.per_crash_penalty == pytest.approx(8 / 3)
-
-
-def test_crash_penalty_is_infinite_when_every_robot_is_in_the_majority():
-    assert math.isinf(bound_gathering_crash(2, 0).per_crash_penalty)
-
-
-def test_chain_reports_carry_oracle_and_bound():
+def test_chain_reports_carry_the_exact_value_and_an_optional_estimate():
     report = chain_report("gathering", 4, from_state=1, to_state=3)
+    assert set(report) == {"chain", "n", "from", "to", "exact", "mc_mean", "mc_ci"}
     assert report["exact"] == 10 / 3
-    assert report["closed_form_bound"] == pytest.approx(bound_gathering(4))
     assert report["mc_mean"] is None
     assert report["mc_ci"] is None
 
     report = chain_report("scattering", 6, mc_trials=2_000, seed=1)
     assert report["to"] == 6
-    assert report["closed_form_bound"] == pytest.approx(6 + 4 / 3)
     assert report["mc_mean"] == pytest.approx(report["exact"], rel=0.1)
     assert report["mc_ci"][0] < report["mc_mean"] < report["mc_ci"][1]
 

@@ -1,6 +1,7 @@
 """Robot decision rules: move targets, tie handling, coin calibration."""
 
 import functools
+import math
 import pickle
 import random
 from types import MappingProxyType
@@ -166,7 +167,7 @@ def test_scatter_is_blind_to_multiplicities():
 def test_scatter_honors_an_explicit_radius():
     a, b = Point(0.0, 0.0), Point(2.0, 0.0)
     dest = voronoi_scatter_step(observe(a, b), a, source_with(bits=(1,), seed=5), radius=0.01)
-    assert a.distance_to(dest) <= 0.01
+    assert math.dist(a, dest) <= 0.01
 
 
 def test_barycenter_program_moves_to_the_mean():

@@ -313,7 +313,10 @@ def test_script_files_round_trip(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(data))
     policy = load_script(path, 2)
-    assert len(policy) == 3
+    pool = frozenset({0, 1})
+    assert [policy.next_activation(pool, None) for _ in range(3)] == [{0}, {1}, {0, 1}]
+    with pytest.raises(RuntimeError, match="script exhausted"):
+        policy.next_activation(pool, None)
     assert policy.coin_overrides == {(0, 0): (1, 0)}
 
 
