@@ -171,7 +171,8 @@ def step(
 
     ``coin_overrides`` maps ``(step index, robot id)`` to scripted coin bits
     for that activation; the step index is ``config.step_index`` before the
-    step executes.
+    step executes. Without overrides every program call shares one source,
+    which then only forwards to ``rng``.
     """
     activated = sorted(set(activated))
     if not activated:
@@ -182,6 +183,7 @@ def step(
     view = MappingProxyType(config.occupancy)
     new_robots = dict(robots)
     moves = []
+    shared = None if coin_overrides else RandomSource(rng)
     for rid in activated:
         if rid not in robots:
             raise ValueError(f"unknown robot id {rid}")
@@ -194,8 +196,8 @@ def step(
             strategy = byzantine.get(rid)
             dest = strategy.destination(config, rid) if strategy is not None else pos
         else:
-            bits = coin_overrides.get((config.step_index, rid)) if coin_overrides else None
-            dest = program(view, pos, RandomSource(rng, bits))
+            source = shared or RandomSource(rng, coin_overrides.get((config.step_index, rid)))
+            dest = program(view, pos, source)
         if not isinstance(dest, Point):
             dest = Point(*dest)
         new_robots[rid] = (dest, status)

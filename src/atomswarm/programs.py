@@ -29,8 +29,9 @@ from .geometry import (
 )
 
 __all__ = [
-    # No program calls it; the perfbench span recorder wraps it here by name.
+    # No program calls these; the perfbench span recorder wraps them here by name.
     "multiplicities",
+    "default_sampling_radius",
     "random_bit",
     "baseline_gather_step",
     "multiplicity_gather_step",
@@ -107,12 +108,12 @@ def voronoi_scatter_step(obs, self_pos: Point, source, *, radius: float | None =
 
     ``radius`` caps how far the sampled point may be from the current
     position; by default half the distance to the nearest other occupied
-    point, which makes every draw land inside the cell.
+    point, which makes every draw land inside the cell. The sampler finds
+    that distance in its one scan of the sites.
     """
     if random_bit(source) == 1:
         return self_pos
-    r = radius if radius is not None else default_sampling_radius(self_pos, obs)
-    return sample_point_in_cell(self_pos, obs, r, source)
+    return sample_point_in_cell(self_pos, obs, radius, source)
 
 
 def barycenter_converge_step(obs, self_pos: Point, source) -> Point:

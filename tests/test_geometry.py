@@ -5,9 +5,10 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from atomswarm import geometry
 from atomswarm.geometry import (
     Point,
     barycenter,
@@ -244,6 +245,185 @@ def test_sampling_validates_its_arguments():
         sample_point_in_cell(sites[0], sites, 0.0, random.Random(0))
     with pytest.raises(ValueError, match="site must be one of the given sites"):
         sample_point_in_cell(Point(9.0, 9.0), sites, 1.0, random.Random(0))
+
+
+def reference_nearest(site, sites):
+    """The nearest distance as a generator over ``s != site``; ``_nearest`` must agree."""
+    return min((math.dist(site, s) for s in sites if s != site), default=None)
+
+
+def reference_default_sampling_radius(site, sites):
+    nearest = reference_nearest(site, sites)
+    return 1.0 if nearest is None else nearest / 2.0
+
+
+def reference_sample_point_in_cell(site, sites, radius, rng):
+    """The sampler with the full cell test on every draw; the in-disk accept must agree."""
+    if site not in sites:
+        raise ValueError("site must be one of the given sites")
+    if radius is None:
+        radius = reference_default_sampling_radius(site, sites)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    sx, sy = site
+    while radius >= geometry.MIN_SAMPLE_RADIUS:
+        for _ in range(geometry.SAMPLE_ATTEMPTS):
+            r = radius * math.sqrt(rng.uniform(0.0, 1.0))
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            candidate = Point(sx + r * math.cos(theta), sy + r * math.sin(theta))
+            if candidate != site and voronoi_cell_contains(site, sites, candidate):
+                return candidate
+        radius /= 2.0
+    raise ValueError("degenerate cell")
+
+
+def _sample_outcome(sampler, site, sites, radius, seed):
+    """The sampled point (or the error) as exact text, and the rng state after it."""
+    rng = random.Random(seed)
+    try:
+        result = repr(tuple(sampler(site, sites, radius, rng)))
+    except ValueError as exc:
+        result = f"ValueError: {exc}"
+    return result, rng.getstate()
+
+
+# Site sets on a lattice base + step * k, with steps per base chosen to reach
+# subnormal offsets from 0, one-ulp neighbours near 1e16, and coordinates near
+# ±1e150 and ±1e200 with nearest distances on both sides of 1e150, where the
+# in-disk accept turns off; each case also draws a radius.
+LATTICE_STEPS = {
+    0.0: [5e-324, 3e-320, 1e-310, 0.25, 1.0],
+    1.0: [math.ulp(1.0), 0.25, 1.0],
+    1e16: [math.ulp(1e16), 3 * math.ulp(1e16)],
+    -1e16: [math.ulp(1e16)],
+    1e150: [math.ulp(1e150), 1e147, 1e150, 3e150],
+    -1e150: [1e149, 2e150],
+    1e200: [math.ulp(1e200), 1e197, 1e200],
+    -1e200: [1e199, 1e200],
+}
+
+
+@st.composite
+def lattice_cases(draw):
+    bx = draw(st.sampled_from(sorted(LATTICE_STEPS)))
+    by = draw(st.sampled_from([0.0, bx]))
+    step = draw(st.sampled_from(LATTICE_STEPS[bx]))
+    ks = st.integers(-3, 3)
+    lattice = st.builds(lambda i, j: Point(bx + step * i, by + step * j), ks, ks)
+    sites = draw(st.lists(lattice, min_size=2, max_size=6))
+    # Three lattice steps: at every scale, many draws leave the cell.
+    radius = draw(st.sampled_from([None, 0.25, 3.0, 1e3, 3.0 * step]))
+    return draw(st.sampled_from(sites)), sites, radius
+
+
+@settings(deadline=None, max_examples=150)
+@given(lattice_cases(), st.integers(0, 2**32 - 1))
+def test_sampler_draws_what_the_full_cell_test_draws(case, seed):
+    site, sites, radius = case
+    # Ten draws per radius keep unresolvable cells (about 40 halvings down to
+    # MIN_SAMPLE_RADIUS) cheap; both samplers read the constant at call time.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "SAMPLE_ATTEMPTS", 10)
+        assert _sample_outcome(sample_point_in_cell, site, sites, radius, seed) == _sample_outcome(
+            reference_sample_point_in_cell, site, sites, radius, seed
+        )
+
+
+class ScriptedUniform:
+    """An rng whose ``uniform`` calls return the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high):
+        return self.values.pop(0)
+
+
+def test_a_draw_just_past_half_the_nearest_distance_is_rejected():
+    """Offsets a hair above (nearest/2)**2 must take the full test, which rejects
+    them here: the first draw lies past the bisector with the neighbour at (2, 0)."""
+    site, sites = Point(0.0, 0.0), [Point(0.0, 0.0), Point(2.0, 0.0), Point(0.0, 5.0)]
+    r = 1.0 + 4e-8
+    rng = ScriptedUniform([(r / 3.0) ** 2, 0.0, 0.01, math.pi / 2])
+    q = sample_point_in_cell(site, sites, 3.0, rng)
+    assert q.x < 1e-9 and 0.29 < q.y < 0.31
+    assert rng.values == []
+
+
+def _in_disk_bound(site, sites):
+    """The sampler's in-disk bound, or None where it does not apply."""
+    nearest = reference_nearest(site, sites)
+    if nearest is None or not geometry._IN_DISK_LOW <= nearest <= geometry._IN_DISK_HIGH:
+        return None
+    return (nearest / 2.0) ** 2 * geometry._IN_DISK_MARGIN
+
+
+# Nearest distances at both ends of the range where the in-disk accept applies.
+RANGE_ENDS = [math.nextafter(1e-150, math.inf), 1.000001e-150, math.nextafter(1e150, 0.0), 0.999999e150]
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.sampled_from(RANGE_ENDS), st.floats(1e-150, 1e150)),
+    st.lists(st.tuples(st.floats(1.0, 3.0), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=6),
+    st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.floats(0.0, 2.0 * math.pi),
+    st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 2.0**-30, 1.0)),
+    st.booleans(),
+)
+def test_draws_below_the_in_disk_bound_lie_in_the_cell(d, polar, offset, theta, t, toward_nearest):
+    """Soundness of the sampler's shortcut: below the bound, the full test accepts."""
+    site = Point(d * offset[0], d * offset[1])
+    sites = [site] + [Point(site.x + d * m * math.cos(phi), site.y + d * m * math.sin(phi)) for m, phi in polar]
+    bound = _in_disk_bound(site, sites)
+    assume(bound is not None)
+    if toward_nearest:
+        # The hardest direction: straight at the nearest other site.
+        nearest_site = min((s for s in sites if s != site), key=lambda s: math.dist(site, s))
+        theta = math.atan2(nearest_site.y - site.y, nearest_site.x - site.x)
+    rho = math.sqrt(bound) * t
+    q = Point(site.x + rho * math.cos(theta), site.y + rho * math.sin(theta))
+    dx, dy = q.x - site.x, q.y - site.y
+    if q != site and dx * dx + dy * dy < bound:
+        assert voronoi_cell_contains(site, sites, q)
+
+
+@pytest.mark.parametrize("d", RANGE_ENDS)
+def test_draws_just_inside_the_bound_lie_in_the_cell_at_the_range_ends(d):
+    rng = random.Random(2024)
+    site = Point(0.0, 0.0)
+    sites = [site] + [Point(d * math.cos(a), d * math.sin(a)) for a in (0.0, 2.0, 4.0)]
+    bound = _in_disk_bound(site, sites)
+    assert bound is not None
+    hits = 0
+    for _ in range(3000):
+        rho = math.sqrt(bound) * (1.0 - rng.random() * 2.0**-38)
+        theta = rng.choice((0.0, 2.0, 4.0)) + rng.uniform(-1e-6, 1e-6)
+        q = Point(rho * math.cos(theta), rho * math.sin(theta))
+        if q.x * q.x + q.y * q.y < bound:
+            hits += 1
+            assert voronoi_cell_contains(site, sites, q)
+    assert hits > 1000
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [
+        [Point(0.0, 0.0), Point(-0.0, 0.0)],
+        [Point(0.0, 0.0), Point(0.0, -0.0), Point(-0.0, -0.0), Point(3.0, 4.0)],
+        [Point(0.0, 0.0), Point(5e-324, 0.0)],
+        [Point(0.0, 0.0), Point(0.0, 5e-324), Point(1e-300, 0.0)],
+        [Point(0.0, 0.0), Point(0.0, 0.0), Point(0.0, 0.0)],
+        [Point(0.0, 0.0), Point(0.0, 0.0), Point(-0.0, 0.0), Point(2.0, 0.0), Point(2.0, 0.0)],
+        # A neighbour whose distance overflows to inf is still a neighbour.
+        [Point(0.0, 0.0), Point(1.7e308, 1.7e308)],
+    ],
+)
+def test_default_radius_excludes_exactly_the_copies_of_the_site(sites):
+    site = Point(0.0, 0.0)
+    expected = reference_default_sampling_radius(site, sites)
+    assert default_sampling_radius(site, sites).hex() == expected.hex()
+    assert geometry._nearest(site, sites) == reference_nearest(site, sites)
 
 
 def test_barycenter_is_the_coordinate_mean():

@@ -120,6 +120,18 @@ GOLDEN_CONFIGS = {
         trials=30,
         seed=19,
     ),
+    # A radius above the default: most draws leave the cell, so the sampler's
+    # full cell test rejects them (4,852 rejects against 685 samples here).
+    "scatter-radius": dict(
+        n=12,
+        program="voronoi-scatter",
+        program_params={"radius": 3.0},
+        scheduler="probabilistic",
+        layout="all-at-one-point",
+        predicate="scattering",
+        trials=30,
+        seed=20,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -158,6 +170,10 @@ GOLDEN_DIGESTS = {
     "baseline-colocated": (
         "921a1289bd0a72e9d8edbd7a9f86ba5e73f53f21db03fe69737a95cc78018e00",
         "f78178d40544dfdb7c6243a6c2f1aed9619bfe77a1ddeb0e48554608b0229be2",
+    ),
+    "scatter-radius": (
+        "8805730f2c4ba730f7990e1af7693e1531842b0df428c19d787db5270939739b",
+        "80b3ffdbb644a1e6dda408766fd243b9a3a0e80e56fefec3bbb4adf78087b4da",
     ),
 }
 
