@@ -19,6 +19,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .harness import (
+    PREDICATE_NAMES,
     ConfigError,
     ExperimentConfig,
     aggregate_trials,
@@ -27,7 +28,7 @@ from .harness import (
     run_experiment,
     simulate_once,
 )
-from .markov import chain_report
+from .markov import CHAINS, chain_report
 from .scenarios import replay_counterexample, run_flip_flop_witness
 
 
@@ -66,7 +67,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scheduler-params", type=_json_arg, help="scheduler parameters, JSON object")
     parser.add_argument("--layout", help="initial layout name")
     parser.add_argument("--layout-params", type=_json_arg, help="layout parameters, JSON object")
-    parser.add_argument("--predicate", choices=("gathering", "scattering"))
+    parser.add_argument("--predicate", choices=PREDICATE_NAMES)
     parser.add_argument("--weak", action=argparse.BooleanOptionalAction, help="use the weak predicate variant")
     parser.add_argument("--faults", help="fault plan: inline JSON object or a path to one")
     parser.add_argument("--max-steps", type=int, help="activation horizon per trial")
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(handler=_cmd_experiment)
 
     p_chain = sub.add_parser("chain", help="query the analytic chain oracles")
-    p_chain.add_argument("--chain", choices=("gathering", "scattering"), required=True)
+    p_chain.add_argument("--chain", choices=CHAINS, required=True)
     p_chain.add_argument("--n", type=int, required=True)
     p_chain.add_argument("--from", dest="from_state", type=int, default=1)
     p_chain.add_argument("--to", dest="to_state", type=int, default=None)

@@ -40,24 +40,23 @@ class RobotStatus(Enum):
 Observation = Mapping[Point, int]
 
 
-class RandomSource:
-    """Randomness handed to a robot program for a single activation.
+class RandomSource(random.Random):
+    """A run's randomness: a ``random.Random`` that ``run`` seeds once and
+    hands to the policy and to every program call.
 
-    Binary decisions go through :meth:`coin`, which consumes scripted override
-    bits first when any are present (bit 1 means the coin succeeds, i.e. the
-    guarded branch is taken). Continuous draws are never scripted.
+    Binary decisions go through :meth:`coin`, which consumes scripted bits
+    from ``bits`` first (bit 1 means the coin succeeds, i.e. the guarded
+    branch is taken). Continuous draws are never scripted.
     """
 
-    __slots__ = ("_rng", "_bits")
-
-    def __init__(self, rng: random.Random, bits: Sequence[int] | None = None):
-        self._rng = rng
-        self._bits = deque(bits) if bits else None
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.bits: deque[int] = deque()
 
     def coin(self, p_true: float) -> bool:
-        if self._bits:
-            return bool(self._bits.popleft())
-        return self._rng.random() < p_true
+        if self.bits:
+            return bool(self.bits.popleft())
+        return self.random() < p_true
 
     def choose(self, items: Sequence):
         """Uniform choice; a single-item sequence consumes no randomness."""
@@ -65,10 +64,7 @@ class RandomSource:
             raise ValueError("choose from an empty sequence")
         if len(items) == 1:
             return items[0]
-        return items[self._rng.randrange(len(items))]
-
-    def uniform(self, low: float, high: float) -> float:
-        return self._rng.uniform(low, high)
+        return items[self.randrange(len(items))]
 
 
 # A program maps (observation, own position, randomness) to a destination.
@@ -128,24 +124,13 @@ class Configuration:
         return frozenset(rid for rid, _, _ in self.visible_items())
 
 
-def configuration_from_positions(
-    positions: Iterable,
-    byzantine_ids: Iterable[RobotId] = (),
-    frozen_ids: Iterable[RobotId] = (),
-) -> Configuration:
-    """Build a step-0 configuration from positions (Points or (x, y) pairs)."""
-    byzantine_ids = frozenset(byzantine_ids)
-    frozen_ids = frozenset(frozen_ids)
-    robots: dict[RobotId, tuple[Point, RobotStatus]] = {}
-    for rid, pos in enumerate(positions):
-        if not isinstance(pos, Point):
-            pos = Point(*pos)
-        status = RobotStatus.CORRECT
-        if rid in byzantine_ids:
-            status = RobotStatus.BYZANTINE
-        elif rid in frozen_ids:
-            status = RobotStatus.CRASHED_FROZEN
-        robots[rid] = (pos, status)
+def configuration_from_positions(positions: Iterable) -> Configuration:
+    """Build a step-0 configuration of correct robots from positions (Points
+    or (x, y) pairs). A fault plan's ``start`` sets the faulty statuses."""
+    robots = {
+        rid: (pos if isinstance(pos, Point) else Point(*pos), RobotStatus.CORRECT)
+        for rid, pos in enumerate(positions)
+    }
     if not robots:
         raise ValueError("a configuration needs at least one robot")
     return Configuration(robots, 0)
@@ -156,7 +141,7 @@ def step(
     activated: Iterable[RobotId],
     program: RobotProgram,
     byzantine: Mapping[RobotId, MotionStrategy] | None = None,
-    rng: random.Random | None = None,
+    source: RandomSource | None = None,
     coin_overrides: Mapping[tuple[int, RobotId], Sequence[int]] | None = None,
 ) -> Configuration:
     """Execute one atomic activation step.
@@ -169,21 +154,20 @@ def step(
     Every destination is computed against the pre-step counts; only then are
     the counts copied (when some robot moved) and the movers shifted.
 
-    ``coin_overrides`` maps ``(step index, robot id)`` to scripted coin bits
-    for that activation; the step index is ``config.step_index`` before the
-    step executes. Without overrides every program call shares one source,
-    which then only forwards to ``rng``.
+    Every program call gets ``source`` itself (a fresh unseeded one when it
+    is None). ``coin_overrides`` maps ``(step index, robot id)`` to the coin
+    bits that replace ``source.bits`` just before that robot's program runs;
+    the step index is ``config.step_index`` before the step executes.
     """
     activated = sorted(set(activated))
     if not activated:
         raise ValueError("activated set must be nonempty")
     byzantine = byzantine or {}
-    rng = rng if rng is not None else random.Random()
+    source = source if source is not None else RandomSource()
     robots = config.robots
     view = MappingProxyType(config.occupancy)
     new_robots = dict(robots)
     moves = []
-    shared = None if coin_overrides else RandomSource(rng)
     for rid in activated:
         if rid not in robots:
             raise ValueError(f"unknown robot id {rid}")
@@ -193,10 +177,10 @@ def step(
         if status is RobotStatus.CRASHED_FROZEN:
             continue
         if status is RobotStatus.BYZANTINE:
-            strategy = byzantine.get(rid)
-            dest = strategy.destination(config, rid) if strategy is not None else pos
+            dest = byzantine[rid].destination(config, rid)
         else:
-            source = shared or RandomSource(rng, coin_overrides.get((config.step_index, rid)))
+            if coin_overrides:
+                source.bits = deque(coin_overrides.get((config.step_index, rid), ()))
             dest = program(view, pos, source)
         if not isinstance(dest, Point):
             dest = Point(*dest)
@@ -358,10 +342,12 @@ def run(
     Per iteration: query the policy, execute the step, evaluate the predicate,
     then fire any due crash triggers from the fault plan (so condition
     triggers see the post-step configuration before the next scheduler
-    query). Crashes scheduled for step 0 and Byzantine statuses from the plan
-    are applied before the initial predicate check. ``steps`` counts scheduler
-    activations consumed. A policy that carries ``coin_overrides`` (a scripted
-    one) has its coins applied to the programs it activates.
+    query). The plan's ``start`` marks its Byzantine robots and fires the
+    crashes due at step 0 before the initial predicate check. ``steps``
+    counts scheduler activations consumed. The policy and every program call
+    draw from one ``RandomSource(seed)``; a policy that carries
+    ``coin_overrides`` (a scripted one) has its coins loaded into it for the
+    programs it activates.
 
     ``rounds`` counts completed rounds. A round closes after the first step
     by which every robot that is still eligible (not crash-removed) has been
@@ -379,20 +365,10 @@ def run(
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    rng = random.Random(seed)
+    source = RandomSource(seed)
     coin_overrides = getattr(policy, "coin_overrides", None)
-    byzantine = dict(plan.byzantine) if plan is not None else {}
-    config = initial
-    if byzantine:
-        robots = dict(initial.robots)
-        for rid in byzantine:
-            if rid not in robots:
-                raise ValueError(f"byzantine robot {rid} not in the configuration")
-            robots[rid] = (robots[rid][0], RobotStatus.BYZANTINE)
-        config = Configuration(robots, initial.step_index)
-    fault_state = plan.new_state() if plan is not None else None
-    if plan is not None:
-        config = plan.fire(config, fault_state)
+    config, fault_state = (initial, None) if plan is None else plan.start(initial)
+    byzantine = {} if plan is None else plan.byzantine
 
     rounds = 0
     seen: set[RobotId] = set()
@@ -408,8 +384,8 @@ def run(
     while config.step_index - start < max_steps:
         if not eligible:
             raise RuntimeError("no robots left to activate")
-        activated = frozenset(policy.next_activation(eligible, rng))
-        config = step(config, activated, program, byzantine, rng, coin_overrides)
+        activated = frozenset(policy.next_activation(eligible, source))
+        config = step(config, activated, program, byzantine, source, coin_overrides)
         seen |= activated
         if eligible <= seen:
             rounds += 1

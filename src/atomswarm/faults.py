@@ -3,7 +3,8 @@
 A fault plan declares a budget f, a list of crash events (each freezing or
 removing one robot, at a fixed step or when a condition first holds) and a
 set of Byzantine robots with their movement strategies. Plans are immutable;
-per-execution firing state lives in a small mutable list owned by the run.
+a run's faulty statuses come from its plan alone, and its firing flags, a
+small mutable list owned by the run, from ``FaultPlan.start``.
 """
 
 from __future__ import annotations
@@ -120,9 +121,19 @@ class FaultPlan:
         if duplicates:
             raise ValueError(f"robot {duplicates[0]} appears in more than one fault entry")
 
-    def new_state(self) -> list[bool]:
-        """Fresh per-execution firing flags, one per crash event."""
-        return [False] * len(self.crashes)
+    def start(self, config: Configuration) -> tuple[Configuration, list[bool]]:
+        """Set up a run's faults: mark the Byzantine robots, fire the crashes
+        already due, and return that configuration with the run's firing
+        flags (one per crash event) for every later :meth:`fire`."""
+        if self.byzantine:
+            robots = dict(config.robots)
+            for rid in self.byzantine:
+                if rid not in robots:
+                    raise ValueError(f"byzantine robot {rid} not in the configuration")
+                robots[rid] = (robots[rid][0], RobotStatus.BYZANTINE)
+            config = Configuration(robots, config.step_index)
+        state = [False] * len(self.crashes)
+        return self.fire(config, state), state
 
     def fire(self, config: Configuration, state: list[bool]) -> Configuration:
         """Apply every due, not-yet-fired crash event and return the result.
@@ -231,8 +242,8 @@ def _point(value, field: str) -> Point:
         raise ValueError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}") from None
 
 
-def fault_plan_from_dict(data: Mapping) -> FaultPlan:
-    """Build a fault plan from its JSON object form.
+def fault_plan_from_dict(data: Mapping, n: int) -> FaultPlan:
+    """Build a fault plan for robots ``0..n-1`` from its JSON object form.
 
     Schema::
 
@@ -263,7 +274,7 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
         crashes.append(
             CrashEvent(
                 mode,
-                robot=None if robot is None else _integer(robot, f"{where}.robot"),
+                robot=None if robot is None else _integer(robot, f"{where}.robot", 0, n - 1),
                 at=None if at is None else _integer(at, f"{where}.at"),
                 when=entry.get("when"),
             )
@@ -295,5 +306,5 @@ def fault_plan_from_dict(data: Mapping) -> FaultPlan:
                 if not str(step).isdecimal():
                     raise ValueError(f"{where}.strategy.moves keys must be step numbers, got {step!r}")
             strategy = ScriptedStrategy({int(s): _point(p, f"{where}.strategy.moves[{s}]") for s, p in moves.items()})
-        byzantine[_integer(entry["robot"], f"{where}.robot")] = strategy
+        byzantine[_integer(entry["robot"], f"{where}.robot", 0, n - 1)] = strategy
     return FaultPlan(_integer(data["f"], "f"), tuple(crashes), byzantine)

@@ -142,16 +142,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         new_policy = build_policy(self)
         try:
-            plan = None if self.faults is None else fault_plan_from_dict(self.faults)
+            plan = None if self.faults is None else fault_plan_from_dict(self.faults, self.n)
         except ValueError as exc:
             raise ConfigError(f"bad fault plan: {exc}") from None
-        if plan is not None:
-            for rid in plan.byzantine:
-                if not 0 <= rid < self.n:
-                    raise ConfigError(f"byzantine robot {rid} outside 0..{self.n - 1}")
-            for event in plan.crashes:
-                if event.robot is not None and not 0 <= event.robot < self.n:
-                    raise ConfigError(f"crash robot {event.robot} outside 0..{self.n - 1}")
         return plan, program, predicate, new_policy, build_initial(self)
 
     def validate(self) -> "ExperimentConfig":
@@ -268,52 +261,35 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 
 
-def _hashmix(value, const):
-    """SeedSequence's hashmix of ``value``; returns it with the next hash constant."""
-    value = value ^ const
-    const = const * _MULT_A
-    value = value * const
-    return value ^ (value >> _XSHIFT), const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
 def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     """Independent 64-bit seeds, one per trial, from spawned substreams.
 
     Trial i gets ``SeedSequence(seed).spawn(trials)[i].generate_state(1,
     np.uint64)[0]``. The children differ only in their spawn key ``(i,)``,
-    the last entropy word, so the pool state before that word is hashed once
-    and the rest of numpy's uint32 hash runs vectorised over all keys.
+    the last entropy word, so they share the parent's pool and the hash
+    constant reached after the seed's words: numpy mixes the pool once, and
+    the rest of its uint32 hash runs vectorised over all keys here.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if trials > 2**32:
         raise ConfigError(f"trials must be at most 2**32 (one 32-bit spawn key word), got {trials}")
-    words = [np.uint32((seed >> shift) & 0xFFFF_FFFF) for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # A spawned child pads the seed's words to the pool size before its key.
-    words += [np.uint32(0)] * (_POOL_SIZE - len(words))
+    pool = list(np.random.SeedSequence(seed).pool)
+    # Filling and cross-mixing the pool took 4 + 4 * 3 hashes, and each seed
+    # word past the pool size 4 more; every hash multiplied the constant once.
+    words = max(1, -(-seed.bit_length() // 32))
+    hashes = 16 + 4 * max(0, words - _POOL_SIZE)
     keys = np.arange(trials, dtype=np.uint32)
     with np.errstate(over="ignore"):
-        const = _INIT_A
-        pool = []
-        for word in words[:_POOL_SIZE]:
-            value, const = _hashmix(word, const)
-            pool.append(value)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    value, const = _hashmix(pool[src], const)
-                    pool[dst] = _mix(pool[dst], value)
-        for word in [*words[_POOL_SIZE:], keys]:
-            for dst in range(_POOL_SIZE):
-                value, const = _hashmix(word, const)
-                pool[dst] = _mix(pool[dst], value)
+        const = _INIT_A * np.uint32(pow(int(_MULT_A), hashes, 2**32))
+        for dst in range(_POOL_SIZE):
+            # SeedSequence's hashmix of the key, then its mix into the pool word.
+            value = keys ^ const
+            const = const * _MULT_A
+            value = value * const
+            value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ (value >> _XSHIFT))
+            pool[dst] = value ^ (value >> _XSHIFT)
         const = _INIT_B
         halves = []
         for word in pool[:2]:

@@ -9,8 +9,8 @@ sorts positions only to index into them or to sum floats over them; counting,
 membership and minima under a total key are order-free as they are.
 
 The ``source`` argument needs ``coin(p)``, ``choose(seq)`` and
-``uniform(low, high)`` methods; the engine's per-activation randomness
-satisfies this.
+``uniform(low, high)`` methods; the run's ``engine.RandomSource``, which
+every program call of a run shares, satisfies this.
 """
 
 from __future__ import annotations

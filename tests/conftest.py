@@ -7,6 +7,9 @@ pass/fail table.
 
 import pytest
 
+from atomswarm.engine import configuration_from_positions
+from atomswarm.faults import CrashEvent, CrashMode, FaultPlan, StayPutStrategy
+
 _acceptance_lines: list[str] = []
 
 
@@ -21,6 +24,22 @@ def acceptance():
         return ok
 
     return record
+
+
+@pytest.fixture
+def faulty():
+    """``faulty(positions, byzantine=(), frozen=())``: a step-0 configuration
+    whose faulty statuses come from a fault plan's ``start``, as in a run."""
+
+    def build(positions, byzantine=(), frozen=()):
+        plan = FaultPlan(
+            f=len(byzantine) + len(frozen),
+            crashes=tuple(CrashEvent(CrashMode.FREEZE, robot=rid, at=0) for rid in frozen),
+            byzantine={rid: StayPutStrategy() for rid in byzantine},
+        )
+        return plan.start(configuration_from_positions(positions))[0]
+
+    return build
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,6 @@ one PASS/FAIL line that the terminal summary prints as a block.
 """
 
 import dataclasses
-import random
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -253,11 +252,11 @@ def test_criterion_09_scattering_tolerates_frozen_robots(acceptance):
 
 def test_criterion_10_coin_frequencies_match_declared_probabilities(acceptance):
     draws = 100_000
-    source = RandomSource(random.Random(13))
+    source = RandomSource(13)
     zero_freq = sum(random_bit(source) == 0 for _ in range(draws)) / draws
     move_freqs = {}
     for n in (2, 4):
-        source = RandomSource(random.Random(29))
+        source = RandomSource(29)
         view = MappingProxyType({Point(float(i), 0.0): 1 for i in range(n)})
         me = Point(0.0, 0.0)
         moved = sum(

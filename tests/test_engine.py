@@ -47,28 +47,29 @@ def stay(view, me, source):
 
 
 def test_scripted_coin_bits_override_the_probability():
-    source = RandomSource(random.Random(0), bits=(1, 0))
+    source = RandomSource(0)
+    source.bits.extend((1, 0))
     assert source.coin(0.0) is True
     assert source.coin(1.0) is False
 
 
 def test_exhausted_bits_fall_back_to_the_rng():
-    source = RandomSource(random.Random(123), bits=(1,))
+    source = RandomSource(123)
+    source.bits.append(1)
     source.coin(0.5)
     expected = random.Random(123).random() < 0.5
     assert source.coin(0.5) is expected
 
 
 def test_choose_from_a_single_item_consumes_no_randomness():
-    rng = random.Random(9)
-    source = RandomSource(rng)
+    source = RandomSource(9)
     assert source.choose(["only"]) == "only"
-    assert rng.random() == random.Random(9).random()
+    assert source.random() == random.Random(9).random()
 
 
 def test_choose_rejects_empty_sequences():
     with pytest.raises(ValueError):
-        RandomSource(random.Random(0)).choose([])
+        RandomSource(0).choose([])
 
 
 def coin_mover(view, me, source):
@@ -81,8 +82,29 @@ def test_coin_overrides_are_keyed_by_step_and_robot():
     start = configuration_from_positions([(0.0, 0.0)] * 3)
     for step_index, movers in ((3, [1]), (2, [])):
         config = Configuration(start.robots, step_index)
-        after = step(config, {0, 1, 2}, coin_mover, rng=random.Random(0), coin_overrides=overrides)
+        after = step(config, {0, 1, 2}, coin_mover, source=RandomSource(0), coin_overrides=overrides)
         assert [rid for rid in after.robots if after.position_of(rid) != Point(0.0, 0.0)] == movers
+
+
+def test_scripted_bits_a_robot_leaves_unused_do_not_reach_the_next_robot():
+    # Robot 0 draws one of its two scripted successes; robot 1 has no bits,
+    # so its probability-0 coin must fail.
+    config = configuration_from_positions([(0.0, 0.0)] * 2)
+    after = step(config, {0, 1}, coin_mover, source=RandomSource(0), coin_overrides={(0, 0): (1, 1)})
+    assert after.position_of(0) == Point(1.0, 0.0)
+    assert after.position_of(1) == Point(0.0, 0.0)
+
+
+def test_step_hands_the_callers_source_itself_to_every_program_call():
+    source = RandomSource(0)
+    given = []
+
+    def record(view, me, program_source):
+        given.append(program_source)
+        return me
+
+    step(configuration_from_positions([(0.0, 0.0)] * 3), {0, 1, 2}, record, source=source)
+    assert len(given) == 3 and all(s is source for s in given)
 
 
 def test_configuration_from_positions_assigns_ids_in_order():
@@ -151,22 +173,16 @@ def test_activating_a_removed_robot_breaks_the_scheduler_contract():
         step(Configuration(robots, 0), {0}, stay)
 
 
-def test_frozen_robots_take_their_turn_as_no_ops():
-    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)], frozen_ids=[0])
+def test_frozen_robots_take_their_turn_as_no_ops(faulty):
+    config = faulty([(0.0, 0.0), (1.0, 0.0)], frozen=[0])
     after = step(config, {0, 1}, hop_to_other)
     assert after.position_of(0) == Point(0.0, 0.0)
     assert after.position_of(1) == Point(0.0, 0.0)
 
 
-def test_byzantine_robots_follow_their_strategy_not_the_program():
-    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)], byzantine_ids=[1])
+def test_byzantine_robots_follow_their_strategy_not_the_program(faulty):
+    config = faulty([(0.0, 0.0), (1.0, 0.0)], byzantine=[1])
     after = step(config, {1}, hop_to_other, byzantine={1: StayPutStrategy()})
-    assert after.position_of(1) == Point(1.0, 0.0)
-
-
-def test_byzantine_robots_without_a_strategy_stay_put():
-    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)], byzantine_ids=[1])
-    after = step(config, {1}, hop_to_other)
     assert after.position_of(1) == Point(1.0, 0.0)
 
 
@@ -183,10 +199,8 @@ def test_gathering_requires_all_visible_robots_on_one_point():
     assert not is_gathered(apart)
 
 
-def test_weak_gathering_ignores_faulty_robots():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (0.0, 0.0), (9.0, 9.0)], frozen_ids=[2]
-    )
+def test_weak_gathering_ignores_faulty_robots(faulty):
+    config = faulty([(0.0, 0.0), (0.0, 0.0), (9.0, 9.0)], frozen=[2])
     assert is_gathered(config, weak=True)
     assert not is_gathered(config)
 
@@ -198,16 +212,14 @@ def test_scattering_requires_pairwise_distinct_positions():
     assert not is_scattered(stacked)
 
 
-def test_weak_scattering_exempts_colocated_faulty_robots():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (5.0, 5.0)], frozen_ids=[2, 3]
-    )
+def test_weak_scattering_exempts_colocated_faulty_robots(faulty):
+    config = faulty([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0), (5.0, 5.0)], frozen=[2, 3])
     assert is_scattered(config, weak=True)
     assert not is_scattered(config)
 
 
-def test_weak_scattering_fails_when_a_correct_robot_shares_with_a_frozen_one():
-    config = configuration_from_positions([(0.0, 0.0), (0.0, 0.0)], frozen_ids=[1])
+def test_weak_scattering_fails_when_a_correct_robot_shares_with_a_frozen_one(faulty):
+    config = faulty([(0.0, 0.0), (0.0, 0.0)], frozen=[1])
     assert not is_scattered(config, weak=True)
 
 

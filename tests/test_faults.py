@@ -58,10 +58,8 @@ def test_worst_case_trigger_fires_at_the_majority_threshold():
     assert not worst_case_crash_trigger(split)
 
 
-def test_frozen_robots_do_not_count_toward_the_trigger_group():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (5.0, 5.0)], frozen_ids=[0]
-    )
+def test_frozen_robots_do_not_count_toward_the_trigger_group(faulty):
+    config = faulty([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (5.0, 5.0)], frozen=[0])
     assert not worst_case_crash_trigger(config)
 
 
@@ -70,8 +68,7 @@ def test_firing_freezes_the_lowest_id_robot_in_the_biggest_group():
         f=1, crashes=(CrashEvent(CrashMode.FREEZE, when=WORST_CASE_TRIGGER),)
     )
     config = configuration_from_positions([(0.0, 0.0)] * 3 + [(5.0, 5.0)])
-    state = plan.new_state()
-    after = plan.fire(config, state)
+    after, state = plan.start(config)
     assert after.robots[0][1] is RobotStatus.CRASHED_FROZEN
     assert state == [True]
     assert after.step_index == config.step_index
@@ -82,7 +79,7 @@ def test_adversarial_victim_choice_is_deterministic_on_group_ties():
     config = configuration_from_positions(
         [(5.0, 5.0), (5.0, 5.0), (0.0, 0.0), (0.0, 0.0)]
     )
-    after = plan.fire(config, plan.new_state())
+    after, _ = plan.start(config)
     assert after.robots[2][1] is RobotStatus.CRASHED_FROZEN
 
 
@@ -95,8 +92,7 @@ def test_events_fire_once_and_later_events_see_earlier_strikes():
         ),
     )
     config = configuration_from_positions([(0.0, 0.0)] * 4 + [(5.0, 5.0)])
-    state = plan.new_state()
-    after = plan.fire(config, state)
+    after, state = plan.start(config)
     assert state == [True, True]
     frozen = [
         rid for rid in sorted(after.robots) if after.robots[rid][1] is RobotStatus.CRASHED_FROZEN
@@ -107,47 +103,41 @@ def test_events_fire_once_and_later_events_see_earlier_strikes():
     assert again.robots == after.robots
 
 
-def test_striking_an_already_faulty_robot_is_a_budget_misuse():
+def test_striking_an_already_faulty_robot_is_a_budget_misuse(faulty):
     plan = FaultPlan(f=1, crashes=(CrashEvent(CrashMode.FREEZE, robot=0, at=0),))
-    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)], frozen_ids=[0])
+    config = faulty([(0.0, 0.0), (1.0, 0.0)], frozen=[0])
     with pytest.raises(ValueError, match="already faulty"):
-        plan.fire(config, plan.new_state())
+        plan.start(config)
 
 
 def test_removed_robots_leave_the_snapshot():
     plan = FaultPlan(f=1, crashes=(CrashEvent(CrashMode.REMOVE, robot=1, at=0),))
     config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)])
-    after = plan.fire(config, plan.new_state())
+    after, _ = plan.start(config)
     assert [pos for _, pos, _ in after.visible_items()] == [Point(0.0, 0.0)]
     assert after.occupancy == after.correct == {Point(0.0, 0.0): 1}
     assert after.eligible() == frozenset({0})
 
 
-def test_oscillator_moves_to_the_smaller_group():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (9.0, 0.0)], byzantine_ids=[0]
-    )
+def test_oscillator_moves_to_the_smaller_group(faulty):
+    config = faulty([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (9.0, 0.0)], byzantine=[0])
     assert oscillator_move(config, 0) == Point(9.0, 0.0)
 
 
-def test_oscillator_breaks_balanced_groups_toward_the_far_side():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (0.0, 0.0), (9.0, 0.0), (9.0, 0.0)], byzantine_ids=[0]
-    )
+def test_oscillator_breaks_balanced_groups_toward_the_far_side(faulty):
+    config = faulty([(0.0, 0.0), (0.0, 0.0), (9.0, 0.0), (9.0, 0.0)], byzantine=[0])
     assert oscillator_move(config, 0) == Point(9.0, 0.0)
 
 
-def test_oscillator_stays_put_outside_two_group_shapes():
-    config = configuration_from_positions(
-        [(0.0, 0.0), (4.0, 0.0), (9.0, 0.0)], byzantine_ids=[0]
-    )
+def test_oscillator_stays_put_outside_two_group_shapes(faulty):
+    config = faulty([(0.0, 0.0), (4.0, 0.0), (9.0, 0.0)], byzantine=[0])
     assert oscillator_move(config, 0) == Point(0.0, 0.0)
     assert OscillatorStrategy().destination(config, 0) == Point(0.0, 0.0)
 
 
-def test_scripted_byzantine_moves_follow_the_step_table():
+def test_scripted_byzantine_moves_follow_the_step_table(faulty):
     strategy = ScriptedStrategy({0: Point(7.0, 7.0)})
-    config = configuration_from_positions([(0.0, 0.0)], byzantine_ids=[0])
+    config = faulty([(0.0, 0.0)], byzantine=[0])
     assert strategy.destination(config, 0) == Point(7.0, 7.0)
     later = Configuration(dict(config.robots), 1)
     assert strategy.destination(later, 0) == Point(0.0, 0.0)
@@ -162,7 +152,8 @@ def test_fault_plans_load_from_plain_dicts():
                 {"mode": "remove", "when": "max_group_reaches_alpha"},
             ],
             "byzantine": [{"robot": 5, "strategy": "oscillator"}],
-        }
+        },
+        6,
     )
     assert plan.f == 3
     assert plan.crashes[0].mode is CrashMode.FREEZE
@@ -173,7 +164,7 @@ def test_fault_plans_load_from_plain_dicts():
 
 def test_scripted_byzantine_strategies_load_from_dicts():
     plan = fault_plan_from_dict(
-        {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"2": [5.0, 5.0]}}}]}
+        {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"2": [5.0, 5.0]}}}]}, 1
     )
     strategy = plan.byzantine[0]
     assert isinstance(strategy, ScriptedStrategy)
@@ -185,12 +176,16 @@ def test_scripted_byzantine_strategies_load_from_dicts():
 
 def test_fault_plan_dicts_validate_their_fields():
     with pytest.raises(ValueError, match="budget"):
-        fault_plan_from_dict({"crashes": []})
+        fault_plan_from_dict({"crashes": []}, 1)
     with pytest.raises(ValueError, match="unknown crash mode"):
-        fault_plan_from_dict({"f": 1, "crashes": [{"mode": "explode", "at": 0}]})
+        fault_plan_from_dict({"f": 1, "crashes": [{"mode": "explode", "at": 0}]}, 1)
     with pytest.raises(ValueError, match="needs a 'mode'"):
-        fault_plan_from_dict({"f": 1, "crashes": [{"at": 0}]})
+        fault_plan_from_dict({"f": 1, "crashes": [{"at": 0}]}, 1)
     with pytest.raises(ValueError, match="needs a 'robot'"):
-        fault_plan_from_dict({"f": 1, "byzantine": [{"strategy": "oscillator"}]})
+        fault_plan_from_dict({"f": 1, "byzantine": [{"strategy": "oscillator"}]}, 1)
     with pytest.raises(ValueError, match="unknown byzantine strategy"):
-        fault_plan_from_dict({"f": 1, "byzantine": [{"robot": 0, "strategy": "helpful"}]})
+        fault_plan_from_dict({"f": 1, "byzantine": [{"robot": 0, "strategy": "helpful"}]}, 1)
+    with pytest.raises(ValueError, match=r"crashes\[0\]\.robot must be in 0\.\.1, got 2"):
+        fault_plan_from_dict({"f": 1, "crashes": [{"mode": "freeze", "robot": 2, "at": 0}]}, 2)
+    with pytest.raises(ValueError, match=r"byzantine\[0\]\.robot must be in 0\.\.1, got -1"):
+        fault_plan_from_dict({"f": 1, "byzantine": [{"robot": -1}]}, 2)

@@ -3,7 +3,6 @@
 import functools
 import math
 import pickle
-import random
 from types import MappingProxyType
 
 import pytest
@@ -24,8 +23,10 @@ from atomswarm.programs import (
 )
 
 
-def source_with(bits=None, seed=0):
-    return RandomSource(random.Random(seed), bits=bits)
+def source_with(bits=(), seed=0):
+    source = RandomSource(seed)
+    source.bits.extend(bits)
+    return source
 
 
 def observe(*positions):
@@ -52,15 +53,15 @@ def test_programs_do_not_depend_on_observation_order(name, obs, data, seed):
     shuffled = {p: counts[p] for p in data.draw(st.permutations(list(counts)))}
     outcomes = set()
     for view in (counts, shuffled):
-        rng = random.Random(seed)
-        outcomes.add((program(MappingProxyType(view), me, RandomSource(rng)), rng.getstate()))
+        source = RandomSource(seed)
+        outcomes.add((program(MappingProxyType(view), me, source), source.getstate()))
     assert len(outcomes) == 1
 
 
 def test_random_bit_is_zero_three_quarters_of_the_time():
-    rng = random.Random(13)
+    source = RandomSource(13)
     draws = 100_000
-    zeros = sum(random_bit(RandomSource(rng)) == 0 for _ in range(draws))
+    zeros = sum(random_bit(source) == 0 for _ in range(draws))
     assert abs(zeros / draws - 0.75) < 0.01
 
 
@@ -99,13 +100,13 @@ def test_baseline_decisions_ignore_observation_order():
 
 
 def test_baseline_move_frequency_is_one_over_n():
-    rng = random.Random(29)
+    source = RandomSource(29)
     draws = 40_000
     for n in (2, 4):
         positions = [Point(float(i), 0.0) for i in range(n)]
         view = observe(*positions)
         moves = sum(
-            baseline_gather_step(view, positions[0], RandomSource(rng)) != positions[0]
+            baseline_gather_step(view, positions[0], source) != positions[0]
             for _ in range(draws)
         )
         assert abs(moves / draws - 1 / n) < 0.01
@@ -125,10 +126,10 @@ def test_multiplicity_tie_move_targets_the_other_crowd():
 
 def test_singleton_ties_move_with_one_over_positions_by_default():
     a, b, c = Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)
-    rng = random.Random(17)
+    source = RandomSource(17)
     draws = 30_000
     moves = sum(
-        multiplicity_gather_step(observe(a, b, c), a, RandomSource(rng)) != a
+        multiplicity_gather_step(observe(a, b, c), a, source) != a
         for _ in range(draws)
     )
     assert abs(moves / draws - 1 / 3) < 0.02
@@ -136,10 +137,10 @@ def test_singleton_ties_move_with_one_over_positions_by_default():
 
 def test_crowded_ties_divide_by_tied_positions_not_robots():
     a, b = Point(0.0, 0.0), Point(3.0, 0.0)
-    rng = random.Random(23)
+    source = RandomSource(23)
     draws = 30_000
     moves = sum(
-        multiplicity_gather_step(observe(a, a, b, b), a, RandomSource(rng)) != a
+        multiplicity_gather_step(observe(a, a, b, b), a, source) != a
         for _ in range(draws)
     )
     assert abs(moves / draws - 1 / 2) < 0.02
