@@ -11,7 +11,7 @@ Modules: :mod:`~atomswarm.geometry` (points, multiplicity, Voronoi cells),
 :mod:`~atomswarm.schedulers` (activation policies and auditing),
 :mod:`~atomswarm.programs` (robot decision rules), :mod:`~atomswarm.faults`
 (crash plans and Byzantine strategies), :mod:`~atomswarm.markov` (chains,
-hitting times, exact step counts), :mod:`~atomswarm.harness` (configs, trials, stats)
+hitting times, exact step counts), :mod:`~atomswarm.harness` (configs and their parsers, trials, stats)
 and :mod:`~atomswarm.scenarios` (scripted scenario replays), with
 :mod:`~atomswarm.cli` on top.
 """

@@ -83,6 +83,8 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
     for name in _OVERRIDE_FIELDS:
         value = getattr(args, name, None)
         if value is not None:

@@ -29,7 +29,6 @@ __all__ = [
     "StayPutStrategy",
     "ScriptedStrategy",
     "BYZANTINE_STRATEGIES",
-    "fault_plan_from_dict",
 ]
 
 
@@ -212,99 +211,3 @@ BYZANTINE_STRATEGIES = {
     "oscillator": OscillatorStrategy,
     "stay-put": StayPutStrategy,
 }
-
-
-# JSON field checks shared by every config parser; each error names its field.
-
-
-def _integer(value, field: str, low: int | None = None, high: int | None = None) -> int:
-    """A JSON integer in ``low..high`` (either end optional); floats and
-    booleans are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{field} must be {bounds}, got {value!r}")
-    return value
-
-
-def _list(value, field: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{field} must be a list, got {value!r}")
-    return value
-
-
-def _point(value, field: str) -> Point:
-    try:
-        x, y = value
-        return Point(float(x), float(y))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}") from None
-
-
-def fault_plan_from_dict(data: Mapping, n: int) -> FaultPlan:
-    """Build a fault plan for robots ``0..n-1`` from its JSON object form.
-
-    Schema::
-
-        {"f": 2,
-         "crashes": [{"robot": 3, "mode": "freeze", "at": 10},
-                     {"mode": "freeze", "when": "max_group_reaches_alpha"}],
-         "byzantine": [{"robot": 0, "strategy": "oscillator"}]}
-
-    ``robot`` may be omitted from a crash entry to let the plan pick the
-    worst-case victim at fire time.
-    """
-    if "f" not in data:
-        raise ValueError("fault plan needs a declared budget 'f'")
-    crashes = []
-    for index, entry in enumerate(_list(data.get("crashes", ()), "crashes")):
-        where = f"crashes[{index}]"
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{where} must be an object, got {entry!r}")
-        try:
-            mode = CrashMode(entry["mode"])
-        except KeyError:
-            raise ValueError("crash entry needs a 'mode'") from None
-        except ValueError:
-            raise ValueError(
-                f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'"
-            ) from None
-        robot, at = entry.get("robot"), entry.get("at")
-        crashes.append(
-            CrashEvent(
-                mode,
-                robot=None if robot is None else _integer(robot, f"{where}.robot", 0, n - 1),
-                at=None if at is None else _integer(at, f"{where}.at"),
-                when=entry.get("when"),
-            )
-        )
-    byzantine = {}
-    for index, entry in enumerate(_list(data.get("byzantine", ()), "byzantine")):
-        where = f"byzantine[{index}]"
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{where} must be an object, got {entry!r}")
-        if "robot" not in entry:
-            raise ValueError("byzantine entry needs a 'robot'")
-        name = entry.get("strategy", "oscillator")
-        if isinstance(name, str):
-            try:
-                strategy = BYZANTINE_STRATEGIES[name]()
-            except KeyError:
-                raise ValueError(
-                    f"unknown byzantine strategy {name!r}; available: "
-                    f"{', '.join(sorted(BYZANTINE_STRATEGIES))}"
-                ) from None
-        else:
-            moves = name.get("moves", {}) if isinstance(name, Mapping) else None
-            if not isinstance(moves, Mapping):
-                raise ValueError(
-                    "byzantine strategy must be a name or a "
-                    f"{{\"moves\": {{step: [x, y]}}}} object, got {name!r}"
-                )
-            for step in moves:
-                if not str(step).isdecimal():
-                    raise ValueError(f"{where}.strategy.moves keys must be step numbers, got {step!r}")
-            strategy = ScriptedStrategy({int(s): _point(p, f"{where}.strategy.moves[{s}]") for s, p in moves.items()})
-        byzantine[_integer(entry["robot"], f"{where}.robot", 0, n - 1)] = strategy
-    return FaultPlan(_integer(data["f"], "f"), tuple(crashes), byzantine)

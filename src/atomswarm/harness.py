@@ -1,6 +1,8 @@
 """Experiment harness: configs, batch trial running, statistics.
 
-An experiment is described by a plain-data config (JSON friendly).
+An experiment is described by a plain-data config (JSON friendly). Its
+parsers live here, fault plans and scripts included, and every JSON object
+they read passes one rule: a key it does not know is a ConfigError.
 ``ExperimentConfig.build()`` parses it once per batch, layout and scheduler
 included, into the parts every trial uses; trials run in contiguous chunks
 that all receive those parts. A fixed layout is one shared configuration, and
@@ -28,16 +30,10 @@ import numpy as np
 
 from . import engine
 from .engine import Configuration, TrialRecord, configuration_from_positions, is_gathered, is_scattered
-from .faults import _integer, _list, _point, fault_plan_from_dict
+from .faults import BYZANTINE_STRATEGIES, CrashEvent, CrashMode, FaultPlan, ScriptedStrategy
 from .geometry import Point
 from .programs import make_program
-from .schedulers import (
-    CentralizedFairPolicy,
-    KBoundedPolicy,
-    ProbabilisticPolicy,
-    load_script,
-    scripted_policy_from,
-)
+from .schedulers import CentralizedFairPolicy, KBoundedPolicy, ProbabilisticPolicy, ScriptedPolicy
 
 __all__ = [
     "ConfigError",
@@ -47,7 +43,11 @@ __all__ = [
     "build_initial",
     "build_policy",
     "build_predicate",
+    "fault_plan_from_dict",
+    "scripted_policy_from",
+    "load_script",
     "derive_trial_seeds",
+    "execute_trial",
     "run_single_trial",
     "run_experiment",
     "aggregate_trials",
@@ -62,19 +62,67 @@ class ConfigError(ValueError):
     """An experiment configuration that cannot be run."""
 
 
-# Schedulers by name, each with its integer parameters and their least values;
-# "scripted" reads a script instead.
-SCHEDULER_CLASSES = {
-    "centralized-fair": (CentralizedFairPolicy, {}),
-    "probabilistic": (ProbabilisticPolicy, {}),
-    "k-bounded": (KBoundedPolicy, {"k": 1}),
+# Schedulers by name, each with its class (None: read a script instead) and
+# its scheduler_params keys, required then optional; each required key is an
+# integer >= 1.
+SCHEDULERS = {
+    "centralized-fair": (CentralizedFairPolicy, (), ()),
+    "probabilistic": (ProbabilisticPolicy, (), ()),
+    "k-bounded": (KBoundedPolicy, ("k",), ()),
+    "scripted": (None, (), ("path", "script")),
 }
-SCHEDULER_NAMES = (*SCHEDULER_CLASSES, "scripted")
-LAYOUT_NAMES = ("all-at-one-point", "two-groups", "random-uniform", "explicit")
+# Layouts by name, each with its layout_params keys, required then optional.
+LAYOUTS = {
+    "all-at-one-point": ((), ("point",)),
+    "two-groups": ((), ("sizes", "points")),
+    "random-uniform": ((), ("box",)),
+    "explicit": (("positions",), ()),
+}
 PREDICATE_NAMES = ("gathering", "scattering")
 # Integer fields and their least values.
 INTEGER_FIELDS = {"n": 1, "trials": 1, "max_steps": 1, "seed": 0, "workers": 1}
-PARAMS_FIELDS = ("program_params", "scheduler_params", "layout_params")
+
+
+# JSON field checks shared by every config parser; each error names its field.
+
+
+def _object(value, field: str, required=(), optional=()) -> dict:
+    """A JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``: any other key is a config error."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in required and key not in optional]
+    if unknown:
+        raise ConfigError(f"unknown {field} fields: {', '.join(sorted(map(str, unknown)))}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"missing {field} fields: {', '.join(missing)}")
+    return value
+
+
+def _integer(value, field: str, low: int | None = None, high: int | None = None) -> int:
+    """A JSON integer in ``low..high`` (either end optional); floats and
+    booleans are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{field} must be {bounds}, got {value!r}")
+    return value
+
+
+def _list(value, field: str):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def _point(value, field: str) -> Point:
+    try:
+        x, y = value
+        return Point(float(x), float(y))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}") from None
 
 
 @dataclass
@@ -104,13 +152,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-        if "n" not in data:
-            raise ConfigError("config needs a robot count 'n'")
-        return cls(**data)
+        return cls(**_object(data, "config", ("n",), [f.name for f in fields(cls)]))
 
     def build(self) -> tuple:
         """Parse the config once into the picklable parts every trial uses.
@@ -122,15 +164,10 @@ class ExperimentConfig:
         outside input becomes a ConfigError: every field is checked here, once
         per batch, so a bad value fails here and not in a trial.
         """
-        try:
-            for name, low in INTEGER_FIELDS.items():
-                _integer(getattr(self, name), name, low)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        for name in PARAMS_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, dict):
-                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        for name, low in INTEGER_FIELDS.items():
+            _integer(getattr(self, name), name, low)
+        if not isinstance(self.program_params, dict):
+            raise ConfigError(f"program_params must be a JSON object, got {self.program_params!r}")
         if self.faults is not None and not isinstance(self.faults, dict):
             raise ConfigError(f"faults must be a JSON object or null, got {self.faults!r}")
         if not isinstance(self.weak, bool):
@@ -169,44 +206,42 @@ def build_initial(config: ExperimentConfig):
     before changing anything); ``random-uniform`` makes 2n draws from ``rng``.
     """
     name, params, n = config.layout, config.layout_params, config.n
-    try:
-        if name == "random-uniform":
-            box = params.get("box", (0.0, 0.0, 1.0, 1.0))
-            try:
-                bounds = xmin, ymin, xmax, ymax = tuple(map(float, box))
-                # Finite widths keep every uniform draw finite.
-                valid = 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf
-            except (TypeError, ValueError, OverflowError):
-                valid = False
-            if not valid:
-                raise ValueError(
-                    f"layout_params.box must be (xmin, ymin, xmax, ymax) with xmin < xmax and ymin < ymax, got {box!r}"
-                )
-            return partial(_uniform_layout, n, bounds)
-        if name == "all-at-one-point":
-            positions = [_point(params.get("point", (0.0, 0.0)), "layout_params.point")] * n
-        elif name == "two-groups":
-            sizes = _list(params.get("sizes", (n - n // 2, n // 2)), "layout_params.sizes")
-            points = _list(params.get("points", ((0.0, 0.0), (1.0, 0.0))), "layout_params.points")
-            if len(sizes) != 2 or len(points) != 2:
-                raise ValueError("two-groups layout needs two sizes and two points")
-            try:
-                sizes = [_integer(size, "layout_params.sizes", 0) for size in sizes]
-            except ValueError:
-                raise ValueError(f"layout_params.sizes must be non-negative integers, got {list(sizes)}") from None
-            if sum(sizes) != n:
-                raise ValueError(f"two-groups sizes {sizes} must sum to n={n}")
-            first, second = (_point(p, f"layout_params.points[{i}]") for i, p in enumerate(points))
-            positions = [first] * sizes[0] + [second] * sizes[1]
-        elif name == "explicit":
-            positions = _list(params.get("positions"), "layout_params.positions")
-            if len(positions) != n:
-                raise ValueError(f"explicit layout has {len(positions)} positions for n={n}")
-            positions = [_point(p, f"layout_params.positions[{i}]") for i, p in enumerate(positions)]
-        else:
-            raise ValueError(f"unknown layout {name!r}; available: {', '.join(LAYOUT_NAMES)}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if not isinstance(name, str) or name not in LAYOUTS:
+        raise ConfigError(f"unknown layout {name!r}; available: {', '.join(LAYOUTS)}")
+    _object(params, "layout_params", *LAYOUTS[name])
+    if name == "random-uniform":
+        box = params.get("box", (0.0, 0.0, 1.0, 1.0))
+        try:
+            bounds = xmin, ymin, xmax, ymax = tuple(map(float, box))
+            # Finite widths keep every uniform draw finite.
+            valid = 0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ConfigError(
+                f"layout_params.box must be (xmin, ymin, xmax, ymax) with xmin < xmax and ymin < ymax, got {box!r}"
+            )
+        return partial(_uniform_layout, n, bounds)
+    if name == "all-at-one-point":
+        positions = [_point(params.get("point", (0.0, 0.0)), "layout_params.point")] * n
+    elif name == "two-groups":
+        sizes = _list(params.get("sizes", (n - n // 2, n // 2)), "layout_params.sizes")
+        points = _list(params.get("points", ((0.0, 0.0), (1.0, 0.0))), "layout_params.points")
+        if len(sizes) != 2 or len(points) != 2:
+            raise ConfigError("two-groups layout needs two sizes and two points")
+        try:
+            sizes = [_integer(size, "layout_params.sizes", 0) for size in sizes]
+        except ConfigError:
+            raise ConfigError(f"layout_params.sizes must be non-negative integers, got {list(sizes)}") from None
+        if sum(sizes) != n:
+            raise ConfigError(f"two-groups sizes {sizes} must sum to n={n}")
+        first, second = (_point(p, f"layout_params.points[{i}]") for i, p in enumerate(points))
+        positions = [first] * sizes[0] + [second] * sizes[1]
+    else:
+        positions = _list(params["positions"], "layout_params.positions")
+        if len(positions) != n:
+            raise ConfigError(f"explicit layout has {len(positions)} positions for n={n}")
+        positions = [_point(p, f"layout_params.positions[{i}]") for i, p in enumerate(positions)]
     return partial(_fixed_layout, configuration_from_positions(positions))
 
 
@@ -217,7 +252,11 @@ def build_policy(config: ExperimentConfig):
     over the same activations and coins.
     """
     name, params = config.scheduler, config.scheduler_params
-    if name == "scripted":
+    if not isinstance(name, str) or name not in SCHEDULERS:
+        raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULERS)}")
+    policy, required, optional = SCHEDULERS[name]
+    _object(params, "scheduler_params", required, optional)
+    if policy is None:
         try:
             if "path" in params:
                 if not isinstance(params["path"], str):
@@ -230,14 +269,9 @@ def build_policy(config: ExperimentConfig):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad scripted scheduler: {exc}") from None
         return partial(copy.copy, script)
-    if not isinstance(name, str) or name not in SCHEDULER_CLASSES:
-        raise ConfigError(f"unknown scheduler {name!r}; available: {', '.join(SCHEDULER_NAMES)}")
-    policy, least = SCHEDULER_CLASSES[name]
     try:
-        if params.keys() != least.keys():
-            raise ValueError(f"expected {sorted(least)}, got {sorted(params)}")
-        for key, low in least.items():
-            _integer(params[key], key, low)
+        for key in required:
+            _integer(params[key], key, 1)
     except ValueError as exc:
         raise ConfigError(f"bad {name} scheduler parameters: {exc}") from None
     return partial(policy, **params)
@@ -251,6 +285,93 @@ def build_predicate(name: str, weak: bool):
     else:
         raise ConfigError(f"unknown predicate {name!r}; available: {', '.join(PREDICATE_NAMES)}")
     return partial(base, weak=True) if weak else base
+
+
+def fault_plan_from_dict(data: dict, n: int) -> FaultPlan:
+    """Build a fault plan for robots ``0..n-1`` from its JSON object form.
+
+    Schema::
+
+        {"f": 2,
+         "crashes": [{"robot": 3, "mode": "freeze", "at": 10},
+                     {"mode": "freeze", "when": "max_group_reaches_alpha"}],
+         "byzantine": [{"robot": 0, "strategy": "oscillator"}]}
+
+    ``robot`` may be omitted from a crash entry to let the plan pick the
+    worst-case victim at fire time.
+    """
+    _object(data, "faults", ("f",), ("crashes", "byzantine"))
+    crashes = []
+    for index, entry in enumerate(_list(data.get("crashes", ()), "crashes")):
+        where = f"crashes[{index}]"
+        _object(entry, where, ("mode",), ("robot", "at", "when"))
+        try:
+            mode = CrashMode(entry["mode"])
+        except ValueError:
+            raise ConfigError(f"unknown crash mode {entry['mode']!r}; use 'freeze' or 'remove'") from None
+        robot, at = entry.get("robot"), entry.get("at")
+        crashes.append(
+            CrashEvent(
+                mode,
+                robot=None if robot is None else _integer(robot, f"{where}.robot", 0, n - 1),
+                at=None if at is None else _integer(at, f"{where}.at", 0),
+                when=entry.get("when"),
+            )
+        )
+    byzantine = {}
+    for index, entry in enumerate(_list(data.get("byzantine", ()), "byzantine")):
+        where = f"byzantine[{index}]"
+        name = _object(entry, where, ("robot",), ("strategy",)).get("strategy", "oscillator")
+        if isinstance(name, str):
+            try:
+                strategy = BYZANTINE_STRATEGIES[name]()
+            except KeyError:
+                raise ConfigError(
+                    f"unknown byzantine strategy {name!r}; available: {', '.join(sorted(BYZANTINE_STRATEGIES))}"
+                ) from None
+        else:
+            moves = _object(name, f"{where}.strategy", (), ("moves",)).get("moves", {})
+            if not isinstance(moves, dict):
+                raise ConfigError(f"{where}.strategy.moves must be a JSON object, got {moves!r}")
+            for step in moves:
+                if not str(step).isdecimal():
+                    raise ConfigError(f"{where}.strategy.moves keys must be step numbers, got {step!r}")
+            strategy = ScriptedStrategy({int(s): _point(p, f"{where}.strategy.moves[{s}]") for s, p in moves.items()})
+        byzantine[_integer(entry["robot"], f"{where}.robot", 0, n - 1)] = strategy
+    return FaultPlan(_integer(data["f"], "f"), tuple(crashes), byzantine)
+
+
+def scripted_policy_from(data: dict, n: int) -> ScriptedPolicy:
+    """Build a scripted policy from its JSON object form.
+
+    Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
+    "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
+    integers; a float or a boolean is rejected, not truncated, and a value
+    of the wrong shape is a ConfigError naming its field. Robot ids must be
+    in 0..n-1. Coin bits are consumed in order by the program's binary
+    decisions at that activation; bit 1 means the coin succeeds (the guarded
+    branch is taken).
+    """
+    coins = _object(data, "script", ("activations",), ("coins",)).get("coins")
+    overrides = {}
+    for i, entry in enumerate(_list(() if coins is None else coins, "coins")):
+        _object(entry, f"coins[{i}]", ("step", "robot", "bits"))
+        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot", 0, n - 1))
+        if key in overrides:
+            raise ConfigError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
+        bits = _list(entry["bits"], f"coins[{i}].bits")
+        overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(bits))
+    activations = []
+    for i, ids in enumerate(_list(data["activations"], "activations")):
+        ids = _list(ids, f"activations[{i}]")
+        activations.append(frozenset(_integer(r, f"activations[{i}][{j}]", 0, n - 1) for j, r in enumerate(ids)))
+    return ScriptedPolicy(activations, overrides)
+
+
+def load_script(path, n: int) -> ScriptedPolicy:
+    """Read a scripted policy (activations plus coin overrides) for n robots from a JSON file."""
+    with open(Path(path)) as fh:
+        return scripted_policy_from(json.load(fh), n)
 
 
 # numpy's SeedSequence constants (pool size 4, 32-bit words).
@@ -300,7 +421,7 @@ def derive_trial_seeds(seed: int, trials: int) -> list[int]:
     return (halves[0] | (halves[1] << np.uint64(32))).tolist()
 
 
-def _execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_step=None) -> TrialRecord:
+def execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_step=None) -> TrialRecord:
     """One run of a built config: ``parts`` is what ``config.build()`` returned."""
     plan, program, predicate, new_policy, layout = parts
     rng = random.Random(trial_seed)
@@ -321,7 +442,7 @@ def _execute_trial(config: ExperimentConfig, parts: tuple, trial_seed: int, on_s
 def run_single_trial(config: ExperimentConfig, parts: tuple, trial_index: int, trial_seed: int) -> dict:
     """One trial of a built config as a flat record; failures are recorded, not raised."""
     try:
-        record = _execute_trial(config, parts, trial_seed)
+        record = execute_trial(config, parts, trial_seed)
     except Exception as exc:
         return {
             "trial_id": trial_index,
@@ -522,7 +643,7 @@ def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
     parts = config.build()  # before the trace file exists, so a bad config leaves none
     trial_seed = derive_trial_seeds(config.seed, 1)[0]
     if trace_path is None:
-        return _execute_trial(config, parts, trial_seed)
+        return execute_trial(config, parts, trial_seed)
     # Creating a file is far cheaper than truncating a large one in place, so
     # an existing regular file is removed first; a device, FIFO or symlink
     # (such as /dev/stdout) is opened as it is.
@@ -530,4 +651,4 @@ def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
     if trace_path.is_file() and not trace_path.is_symlink():
         trace_path.unlink()
     with open(trace_path, "w") as fh:
-        return _execute_trial(config, parts, trial_seed, lambda line: fh.write(line + "\n"))
+        return execute_trial(config, parts, trial_seed, lambda line: fh.write(line + "\n"))

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .engine import TrialRecord, expand_trace
-from .harness import ExperimentConfig, _execute_trial, derive_trial_seeds
+from .harness import ExperimentConfig, derive_trial_seeds, execute_trial
 from .schedulers import audit
 
 __all__ = [
@@ -33,7 +33,7 @@ def _replay(scenario: dict, script: dict, max_steps: int) -> tuple[TrialRecord, 
     )
     parts = config.build()
     lines: list[str] = []
-    record = _execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], lines.append)
+    record = execute_trial(config, parts, derive_trial_seeds(config.seed, 1)[0], lines.append)
     return record, [json.loads(line) for line in expand_trace(lines)]
 
 

@@ -7,16 +7,13 @@ fresh one per trial.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import RobotId
-from .faults import _integer, _list
 
 __all__ = [
     "CentralizedFairPolicy",
@@ -25,8 +22,6 @@ __all__ = [
     "ScriptedPolicy",
     "AuditReport",
     "audit",
-    "scripted_policy_from",
-    "load_script",
 ]
 
 
@@ -99,7 +94,9 @@ class KBoundedPolicy(_SortedEligible):
     """
 
     def __init__(self, k: int):
-        self.k = _integer(k, "k", 1)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        self.k = k
         self._clock = 0
         self._last: dict[RobotId, int] = {}
         self._recent: dict[RobotId, deque] = {}
@@ -264,41 +261,3 @@ def audit(
                 )
                 break
     return AuditReport(fair, k_compliant, tuple(violations))
-
-
-def scripted_policy_from(data: dict, n: int) -> ScriptedPolicy:
-    """Build a scripted policy from its JSON object form.
-
-    Schema: ``{"activations": [[ids...], ...], "coins": [{"step": s,
-    "robot": r, "bits": [...]}, ...]}``. Robot ids, steps and bits must be
-    integers; a float or a boolean is rejected, not truncated, and a value
-    of the wrong shape is a ValueError naming its field. Robot ids must be
-    in 0..n-1. Coin bits are consumed in order by the program's binary
-    decisions at that activation; bit 1 means the coin succeeds (the guarded
-    branch is taken).
-    """
-    if not isinstance(data, Mapping):
-        raise ValueError(f"script must be a JSON object, got {data!r}")
-    if "activations" not in data:
-        raise ValueError("script needs an 'activations' list")
-    coins = data.get("coins")
-    overrides = {}
-    for i, entry in enumerate(_list(() if coins is None else coins, "coins")):
-        if not isinstance(entry, Mapping) or not {"step", "robot", "bits"} <= entry.keys():
-            raise ValueError(f"coins[{i}] must be an object with step, robot and bits, got {entry!r}")
-        key = (_integer(entry["step"], f"coins[{i}].step"), _integer(entry["robot"], f"coins[{i}].robot", 0, n - 1))
-        if key in overrides:
-            raise ValueError(f"duplicate coin override for step {key[0]}, robot {key[1]}")
-        bits = _list(entry["bits"], f"coins[{i}].bits")
-        overrides[key] = tuple(_integer(b, f"coins[{i}].bits[{j}]") for j, b in enumerate(bits))
-    activations = []
-    for i, ids in enumerate(_list(data["activations"], "activations")):
-        ids = _list(ids, f"activations[{i}]")
-        activations.append(frozenset(_integer(r, f"activations[{i}][{j}]", 0, n - 1) for j, r in enumerate(ids)))
-    return ScriptedPolicy(activations, overrides)
-
-
-def load_script(path, n: int) -> ScriptedPolicy:
-    """Read a scripted policy (activations plus coin overrides) for n robots from a JSON file."""
-    with open(Path(path)) as fh:
-        return scripted_policy_from(json.load(fh), n)

@@ -58,7 +58,7 @@ def test_malformed_byzantine_strategies_are_config_errors(capsys):
     faults = '{"f": 1, "byzantine": [{"robot": 0, "strategy": 5}]}'
     code = main(["simulate", *BASELINE_PAIR, "--faults", faults])
     assert code == 1
-    assert "config error: bad fault plan: byzantine strategy" in capsys.readouterr().err
+    assert "config error: bad fault plan: byzantine[0].strategy must be a JSON object, got 5" in capsys.readouterr().err
 
 
 def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
@@ -94,7 +94,7 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
         ),
         (
             {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0]], "coins": [3]}}},
-            "bad scripted scheduler: coins[0] must be an object with step, robot and bits",
+            "bad scripted scheduler: coins[0] must be a JSON object, got 3",
         ),
         (
             {"scheduler": "scripted", "scheduler_params": {"script": [1]}},
@@ -103,6 +103,30 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
         (
             {"scheduler": "scripted", "scheduler_params": {"path": 5}},
             "bad scripted scheduler: path must be a string",
+        ),
+        (
+            {"layout": "all-at-one-point", "layout_params": {"pointz": [5, 5]}},
+            "unknown layout_params fields: pointz",
+        ),
+        ({"layout_params": {"bbox": [0, 0, 1, 1]}}, "unknown layout_params fields: bbox"),
+        ({"layout": "two-groups", "layout_params": {"size": [1, 1]}}, "unknown layout_params fields: size"),
+        ({"layout": "explicit", "layout_params": {}}, "missing layout_params fields: positions"),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"pth": "script.json"}},
+            "unknown scheduler_params fields: pth",
+        ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0]], "coinz": []}}},
+            "bad scripted scheduler: unknown script fields: coinz",
+        ),
+        (
+            {
+                "scheduler": "scripted",
+                "scheduler_params": {
+                    "script": {"activations": [[0]], "coins": [{"step": 0, "robot": 0, "bits": [1], "bit": 0}]}
+                },
+            },
+            "bad scripted scheduler: unknown coins[0] fields: bit",
         ),
     ],
 )
@@ -117,9 +141,9 @@ def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, mess
 @pytest.mark.parametrize(
     "faults, message",
     [
-        ({"f": 1, "crashes": [5]}, "crashes[0] must be an object, got 5"),
+        ({"f": 1, "crashes": [5]}, "crashes[0] must be a JSON object, got 5"),
         ({"f": 1, "crashes": "x"}, "crashes must be a list, got 'x'"),
-        ({"f": 1, "byzantine": [5]}, "byzantine[0] must be an object, got 5"),
+        ({"f": 1, "byzantine": [5]}, "byzantine[0] must be a JSON object, got 5"),
         (
             {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"a": [0, 0]}}}]},
             "byzantine[0].strategy.moves keys must be step numbers, got 'a'",
@@ -127,6 +151,17 @@ def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, mess
         (
             {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {"1": 5}}}]},
             "byzantine[0].strategy.moves[1] must be an [x, y] pair of finite numbers, got 5",
+        ),
+        ({"f": 1, "byzantin": [{"robot": 0}]}, "unknown faults fields: byzantin"),
+        (
+            {"f": 1, "crashes": [{"mode": "freeze", "robot": 0, "at": 0, "after": 3}]},
+            "unknown crashes[0] fields: after",
+        ),
+        ({"f": 1, "crashes": [{"mode": "freeze", "at": -1}]}, "crashes[0].at must be >= 0, got -1"),
+        ({"f": 1, "byzantine": [{"robot": 0, "strat": "stay-put"}]}, "unknown byzantine[0] fields: strat"),
+        (
+            {"f": 1, "byzantine": [{"robot": 0, "strategy": {"moves": {}, "loop": True}}]},
+            "unknown byzantine[0].strategy fields: loop",
         ),
     ],
 )
@@ -316,6 +351,14 @@ def test_experiments_with_errored_trials_exit_with_code_one(capsys, tmp_path):
 def test_fault_plans_that_are_json_but_not_objects_are_config_errors(capsys, faults):
     assert main(["simulate", "--n", "2", "--faults", faults]) == 1
     assert "config error: faults must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", ["[1]", "5", '"abc"'])
+def test_config_files_that_are_json_but_not_objects_are_config_errors(capsys, tmp_path, body):
+    config = tmp_path / "config.json"
+    config.write_text(body)
+    assert main(["experiment", "--config", str(config), "--n", "2"]) == 1
+    assert f"config error: config must be a JSON object, got {json.loads(body)!r}" in capsys.readouterr().err
 
 
 def test_a_null_fault_plan_means_no_faults_as_in_a_config_file(capsys):

@@ -11,11 +11,11 @@ from atomswarm.faults import (
     OscillatorStrategy,
     ScriptedStrategy,
     StayPutStrategy,
-    fault_plan_from_dict,
     oscillator_move,
     worst_case_crash_trigger,
 )
 from atomswarm.geometry import Point
+from atomswarm.harness import fault_plan_from_dict
 
 
 def test_crash_events_need_exactly_one_trigger():
@@ -175,13 +175,13 @@ def test_scripted_byzantine_strategies_load_from_dicts():
 
 
 def test_fault_plan_dicts_validate_their_fields():
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="missing faults fields: f"):
         fault_plan_from_dict({"crashes": []}, 1)
     with pytest.raises(ValueError, match="unknown crash mode"):
         fault_plan_from_dict({"f": 1, "crashes": [{"mode": "explode", "at": 0}]}, 1)
-    with pytest.raises(ValueError, match="needs a 'mode'"):
+    with pytest.raises(ValueError, match=r"missing crashes\[0\] fields: mode"):
         fault_plan_from_dict({"f": 1, "crashes": [{"at": 0}]}, 1)
-    with pytest.raises(ValueError, match="needs a 'robot'"):
+    with pytest.raises(ValueError, match=r"missing byzantine\[0\] fields: robot"):
         fault_plan_from_dict({"f": 1, "byzantine": [{"strategy": "oscillator"}]}, 1)
     with pytest.raises(ValueError, match="unknown byzantine strategy"):
         fault_plan_from_dict({"f": 1, "byzantine": [{"robot": 0, "strategy": "helpful"}]}, 1)

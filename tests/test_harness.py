@@ -22,15 +22,17 @@ from atomswarm.harness import (
     build_initial,
     compare_to_theory,
     derive_trial_seeds,
+    load_script,
     read_trials_csv,
     run_experiment,
     run_single_trial,
+    scripted_policy_from,
     simulate_once,
     write_outputs,
 )
 from atomswarm.markov import gathering_chain, hitting_time_birth_death
 from atomswarm.scenarios import build_counterexample_script, replay_counterexample, run_flip_flop_witness
-from atomswarm.schedulers import audit, load_script, scripted_policy_from
+from atomswarm.schedulers import audit
 
 
 def baseline_pair_config(**overrides):
@@ -55,7 +57,7 @@ def test_unknown_config_fields_are_rejected():
 
 
 def test_configs_require_a_robot_count():
-    with pytest.raises(ConfigError, match="robot count"):
+    with pytest.raises(ConfigError, match="missing config fields: n"):
         ExperimentConfig.from_dict({"trials": 5})
 
 
@@ -115,7 +117,7 @@ def test_negative_seeds_are_config_errors():
 
 
 def test_parameterless_components_reject_parameters_at_config_time():
-    with pytest.raises(ConfigError, match="probabilistic"):
+    with pytest.raises(ConfigError, match="unknown scheduler_params fields: bias"):
         ExperimentConfig(
             n=2, scheduler="probabilistic", scheduler_params={"bias": 0.5}
         ).validate()
@@ -233,7 +235,7 @@ def test_a_scripted_batch_reads_its_script_once(tmp_path, monkeypatch):
     [
         {},
         {"scheduler": "probabilistic", "layout": "two-groups", "layout_params": {}},
-        {"scheduler": "k-bounded", "scheduler_params": {"k": 1}, "layout": "all-at-one-point"},
+        {"scheduler": "k-bounded", "scheduler_params": {"k": 1}, "layout": "all-at-one-point", "layout_params": {}},
         {"scheduler": "scripted", "scheduler_params": {"script": {"activations": [[0], [1]]}}},
         {"layout": "random-uniform", "layout_params": {}},
     ],

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomswarm.harness import load_script, scripted_policy_from
 from atomswarm.schedulers import (
     CentralizedFairPolicy,
     KBoundedPolicy,
     ProbabilisticPolicy,
     ScriptedPolicy,
     audit,
-    load_script,
-    scripted_policy_from,
 )
 
 

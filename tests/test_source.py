@@ -50,6 +50,34 @@ def test_package_modules_import_nothing_they_do_not_use():
     assert unused == []
 
 
+def private_imports(path: Path) -> list[str]:
+    """Underscore names a module imports from another atomswarm module."""
+    return [
+        f"{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("atomswarm"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_package_modules_import_no_private_name_from_each_other():
+    private = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py")) for name in private_imports(path)]
+    assert private == []
+
+
+def test_the_private_import_check_sees_relative_and_absolute_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "from collections import _chain\n"
+        "from . import engine\n"
+        "from .faults import _integer, fault_plan\n"
+        "from atomswarm.harness import _replay\n"
+    )
+    assert private_imports(module) == ["faults._integer", "atomswarm.harness._replay"]
+
+
 def test_the_unused_import_check_sees_through_annotations_and_all(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
