@@ -86,26 +86,31 @@ class Configuration:
 
     ``occupancy`` counts the robots per position over every robot that is not
     crash-removed, ``correct`` over correct robots only; positions with no
-    robot are absent. They are counted from ``robots`` at construction unless
-    both are passed in (``step`` passes counts it derived from the previous
-    configuration). Neither ``robots`` nor the counts change afterwards.
+    robot are absent. ``eligible`` is the id-ordered tuple of the robots that
+    are not crash-removed, the ones a scheduler may activate. All three are
+    counted from ``robots`` at construction unless all are passed in (``step``
+    derives the counts from its predecessor's and keeps its ``eligible``: a
+    step changes no status). None of them changes afterwards.
     """
 
     robots: Mapping[RobotId, tuple[Point, RobotStatus]]
     step_index: int = 0
     occupancy: dict[Point, int] = field(default=None, repr=False, compare=False)
     correct: dict[Point, int] = field(default=None, repr=False, compare=False)
+    eligible: tuple[RobotId, ...] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.occupancy is None or self.correct is None:
+        if self.occupancy is None or self.correct is None or self.eligible is None:
             occupancy: dict[Point, int] = {}
             correct: dict[Point, int] = {}
-            for _, pos, status in self.visible_items():
+            visible = self.visible_items()
+            for _, pos, status in visible:
                 occupancy[pos] = occupancy.get(pos, 0) + 1
                 if status is RobotStatus.CORRECT:
                     correct[pos] = correct.get(pos, 0) + 1
             object.__setattr__(self, "occupancy", occupancy)
             object.__setattr__(self, "correct", correct)
+            object.__setattr__(self, "eligible", tuple(sorted(rid for rid, _, _ in visible)))
 
     def position_of(self, robot: RobotId) -> Point:
         return self.robots[robot][0]
@@ -118,10 +123,6 @@ class Configuration:
             for rid, (pos, status) in self.robots.items()
             if status is not RobotStatus.CRASHED_REMOVED
         ]
-
-    def eligible(self) -> frozenset[RobotId]:
-        """Robots a scheduler may activate (everything not removed)."""
-        return frozenset(rid for rid, _, _ in self.visible_items())
 
 
 def configuration_from_positions(positions: Iterable) -> Configuration:
@@ -194,7 +195,7 @@ def step(
             _shift(occupancy, pos, dest)
             if is_correct:
                 _shift(correct, pos, dest)
-    return Configuration(new_robots, config.step_index + 1, occupancy, correct)
+    return Configuration(new_robots, config.step_index + 1, occupancy, correct, config.eligible)
 
 
 def _shift(counts: dict[Point, int], pos: Point, dest: Point) -> None:
@@ -380,14 +381,14 @@ def run(
         return TrialRecord(True, 0, 0, config)
 
     converged = False
-    eligible = config.eligible()
     while config.step_index - start < max_steps:
-        if not eligible:
+        if not config.eligible:
             raise RuntimeError("no robots left to activate")
-        activated = frozenset(policy.next_activation(eligible, source))
+        activated = frozenset(policy.next_activation(config.eligible, source))
         config = step(config, activated, program, byzantine, source, coin_overrides)
         seen |= activated
-        if eligible <= seen:
+        # The length test first: it skips the scan of the tuple while the round is short.
+        if len(seen) >= len(config.eligible) and seen.issuperset(config.eligible):
             rounds += 1
             seen = set()
         if trace is not None:
@@ -396,7 +397,7 @@ def run(
             converged = True
             break
         if plan is not None and (fired := plan.fire(config, fault_state)) is not config:
-            config, eligible = fired, fired.eligible()
+            config = fired
             if trace is not None:
                 trace.fired(config)
     return TrialRecord(converged, config.step_index - start, rounds, config)

@@ -258,6 +258,8 @@ def build_policy(config: ExperimentConfig):
     _object(params, "scheduler_params", required, optional)
     if policy is None:
         try:
+            if "path" in params and "script" in params:
+                raise ValueError("give 'script' or 'path', not both")
             if "path" in params:
                 if not isinstance(params["path"], str):
                     raise ValueError(f"path must be a string, got {params['path']!r}")
@@ -544,6 +546,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[TrialStats, list[dict]]:
     return stats, records
 
 
+def _fresh(path) -> Path:
+    """``path``, ready to be written as a new file.
+
+    Creating a file is far cheaper than truncating an existing one in place,
+    so an existing regular file is removed first; a device, FIFO or symlink
+    (such as /dev/stdout) is left to be opened as it is.
+    """
+    path = Path(path)
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    return path
+
+
 def write_outputs(
     config: ExperimentConfig, stats: TrialStats, records: list[dict], out_dir
 ) -> tuple[Path, Path]:
@@ -551,7 +566,7 @@ def write_outputs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trials.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(_fresh(csv_path), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial_id", "seed", "converged", "steps", "rounds"])
         for r in records:
@@ -577,7 +592,7 @@ def write_outputs(
         ],
     }
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _fresh(summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return csv_path, summary_path
 
 
@@ -644,11 +659,5 @@ def simulate_once(config: ExperimentConfig, trace_path=None) -> TrialRecord:
     trial_seed = derive_trial_seeds(config.seed, 1)[0]
     if trace_path is None:
         return execute_trial(config, parts, trial_seed)
-    # Creating a file is far cheaper than truncating a large one in place, so
-    # an existing regular file is removed first; a device, FIFO or symlink
-    # (such as /dev/stdout) is opened as it is.
-    trace_path = Path(trace_path)
-    if trace_path.is_file() and not trace_path.is_symlink():
-        trace_path.unlink()
-    with open(trace_path, "w") as fh:
+    with open(_fresh(trace_path), "w") as fh:
         return execute_trial(config, parts, trial_seed, lambda line: fh.write(line + "\n"))

@@ -1,8 +1,12 @@
 """Activation policies and fairness auditing.
 
-A policy picks, per step, a nonempty subset of the eligible (non-removed)
-robots. Policies are stateful objects owned by a single execution; build a
-fresh one per trial.
+A policy's ``next_activation(eligible, rng)`` picks, per step, a nonempty
+subset of ``eligible``: the configuration's ``Configuration.eligible``, the
+id-ordered tuple of its non-removed robots. ``engine.run`` passes that tuple
+as it is and never an empty one, so a policy indexes it directly and checks
+nothing; a new tuple object appears only when the fault plan builds a new
+configuration. Policies are stateful objects owned by a single execution;
+build a fresh one per trial.
 """
 
 from __future__ import annotations
@@ -25,22 +29,7 @@ __all__ = [
 ]
 
 
-class _SortedEligible:
-    """``sorted(eligible)``, redone only for a new eligible set object
-    (``engine.run`` passes the same frozenset until the fault plan fires)."""
-
-    _eligible = _order = None
-
-    def _sorted(self, eligible) -> list[RobotId]:
-        if eligible is not self._eligible:
-            order = sorted(eligible)
-            if not order:
-                raise ValueError("eligible set must be nonempty")
-            self._eligible, self._order = eligible, order
-        return self._order
-
-
-class CentralizedFairPolicy(_SortedEligible):
+class CentralizedFairPolicy:
     """Round-robin over robot ids; exactly one robot per step.
 
     Robots that leave the eligible set (crash-removed) are skipped; frozen
@@ -51,14 +40,13 @@ class CentralizedFairPolicy(_SortedEligible):
         self._last: RobotId | None = None
 
     def next_activation(self, eligible, rng):
-        order = self._sorted(eligible)
-        i = 0 if self._last is None else bisect_right(order, self._last)
-        pick = order[i] if i < len(order) else order[0]
+        i = 0 if self._last is None else bisect_right(eligible, self._last)
+        pick = eligible[i] if i < len(eligible) else eligible[0]
         self._last = pick
         return frozenset((pick,))
 
 
-class ProbabilisticPolicy(_SortedEligible):
+class ProbabilisticPolicy:
     """Uniform draw over the nonempty subsets of the eligible robots.
 
     Equivalently, every robot flips a fair coin and the draw is repeated
@@ -66,12 +54,11 @@ class ProbabilisticPolicy(_SortedEligible):
     """
 
     def next_activation(self, eligible, rng):
-        order = self._sorted(eligible)
-        mask = rng.randrange(1, 1 << len(order))
-        return frozenset(r for i, r in enumerate(order) if mask >> i & 1)
+        mask = rng.randrange(1, 1 << len(eligible))
+        return frozenset(r for i, r in enumerate(eligible) if mask >> i & 1)
 
 
-class KBoundedPolicy(_SortedEligible):
+class KBoundedPolicy:
     """One robot per step, kept k-bounded by construction.
 
     Between two consecutive activations of any robot, no other robot may run
@@ -89,14 +76,14 @@ class KBoundedPolicy(_SortedEligible):
     remembered turn) that the earliest last turn has reached become safe.
     ``_last`` is kept in turn order, so the earliest last turn is its first
     value. Robots that leave the eligible set are forgotten; that bookkeeping
-    and a full rebuild of both sets are done only for a new eligible
-    frozenset (``engine.run`` passes the same one until the fault plan fires).
+    and a full rebuild of both sets are done only for a new eligible tuple.
     """
 
     def __init__(self, k: int):
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
         self.k = k
+        self._eligible = None
         self._clock = 0
         self._last: dict[RobotId, int] = {}
         self._recent: dict[RobotId, deque] = {}
@@ -105,19 +92,19 @@ class KBoundedPolicy(_SortedEligible):
 
     def _rebuild(self, eligible) -> None:
         now, last, recent, k = self._clock, self._last, self._recent, self.k
-        order = self._sorted(eligible)
+        self._eligible = eligible
         for gone in last.keys() - eligible:
             del last[gone], recent[gone]
         # Newcomers date from the previous step, no earlier than anyone's
         # last turn, so appending them keeps ``last`` in turn order.
-        for r in order:
+        for r in eligible:
             if r not in last:
                 last[r], recent[r] = now - 1, deque(maxlen=k)
         earliest = next(iter(last.values()))
         # Only r's others count, but the robot holding the earliest last turn
         # has no turn after it, so the minimum over everyone gives the same set.
         self._safe, self._unsafe = [], []
-        for r in order:
+        for r in eligible:
             if len(recent[r]) < k or recent[r][0] <= earliest:
                 self._safe.append(r)
             else:
@@ -167,9 +154,9 @@ class ScriptedPolicy:
             raise RuntimeError("script exhausted")
         chosen = self._script[self._cursor]
         self._cursor += 1
-        if not chosen <= eligible:
+        if not chosen.issubset(eligible):
             raise ValueError(
-                f"scripted activation {sorted(chosen)} not within eligible robots {sorted(eligible)}"
+                f"scripted robot {min(chosen.difference(eligible))} not within eligible robots {list(eligible)}"
             )
         return chosen
 

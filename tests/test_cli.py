@@ -128,6 +128,10 @@ def test_string_counts_in_a_config_file_are_config_errors(capsys, tmp_path):
             },
             "bad scripted scheduler: unknown coins[0] fields: bit",
         ),
+        (
+            {"scheduler": "scripted", "scheduler_params": {"path": "script.json", "script": {"activations": [[0]]}}},
+            "bad scripted scheduler: give 'script' or 'path', not both",
+        ),
     ],
 )
 def test_malformed_config_files_are_config_errors(capsys, tmp_path, fields, message):

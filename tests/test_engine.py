@@ -127,8 +127,34 @@ def test_removed_robots_vanish_from_snapshots_but_keep_their_status():
     config = Configuration(robots, 0)
     assert [pos for _, pos, _ in config.visible_items()] == [Point(0.0, 0.0), Point(2.0, 0.0)]
     assert config.occupancy == config.correct == {Point(0.0, 0.0): 1, Point(2.0, 0.0): 1}
-    assert config.eligible() == frozenset({0, 2})
+    assert config.eligible == (0, 2)
     assert config.robots[1][1] is RobotStatus.CRASHED_REMOVED
+
+
+def test_eligible_robots_are_in_id_order_whatever_the_robots_order():
+    robots = {rid: (Point(float(rid), 0.0), RobotStatus.CORRECT) for rid in (3, 0, 2, 1)}
+    robots[2] = (robots[2][0], RobotStatus.CRASHED_REMOVED)
+    assert Configuration(robots, 0).eligible == (0, 1, 3)
+
+
+def test_a_step_passes_the_eligible_tuple_through():
+    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0)])
+    after = step(config, {0, 1}, hop_to_other, source=RandomSource(0))
+    assert after.position_of(0) != config.position_of(0)
+    assert after.eligible is config.eligible
+
+
+@pytest.mark.parametrize("mode, eligible", [(CrashMode.REMOVE, (0, 2)), (CrashMode.FREEZE, (0, 1, 2))])
+def test_a_fired_crash_drops_a_removed_robot_from_eligible_and_keeps_a_frozen_one(mode, eligible):
+    config = configuration_from_positions([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    plan = FaultPlan(f=1, crashes=(CrashEvent(mode, robot=1, at=1),))
+    started, state = plan.start(config)
+    assert started is config
+    later = step(config, {0}, stay)
+    fired = plan.fire(later, state)
+    assert fired.robots[1][1] is not RobotStatus.CORRECT
+    assert fired.eligible == eligible
+    assert later.eligible == (0, 1, 2)
 
 
 def test_simultaneously_activated_robots_see_the_same_snapshot():

@@ -116,7 +116,7 @@ def test_removed_robots_leave_the_snapshot():
     after, _ = plan.start(config)
     assert [pos for _, pos, _ in after.visible_items()] == [Point(0.0, 0.0)]
     assert after.occupancy == after.correct == {Point(0.0, 0.0): 1}
-    assert after.eligible() == frozenset({0})
+    assert after.eligible == (0,)
 
 
 def test_oscillator_moves_to_the_smaller_group(faulty):

@@ -533,28 +533,41 @@ def test_a_bad_config_leaves_no_trace_file(tmp_path):
 
 
 def test_an_existing_trace_file_is_replaced_not_truncated(tmp_path):
-    trace = tmp_path / "trace.jsonl"
-    trace.write_text("old\n")
-    os.link(trace, tmp_path / "kept.jsonl")  # a second name keeps the old file
+    """So are an existing trials.csv and summary.json."""
+    trace, out = tmp_path / "trace.jsonl", tmp_path / "out"
+    out.mkdir()
+    names = ("trace.jsonl", "out/trials.csv", "out/summary.json")
+    for name in names:
+        (tmp_path / name).write_text("old\n")
+        os.link(tmp_path / name, tmp_path / f"{name}.kept")  # a second name keeps the old file
     simulate_once(baseline_pair_config(trials=1, seed=4), trace_path=trace)
-    assert (tmp_path / "kept.jsonl").read_text() == "old\n"
+    run_experiment(baseline_pair_config(trials=3, out_dir=str(out)))
+    assert [(tmp_path / f"{name}.kept").read_text() for name in names] == ["old\n"] * 3
     assert json.loads(trace.read_text().splitlines()[0])["activated"] == []
+    assert len(read_trials_csv(out / "trials.csv")) == 3
+    assert json.loads((out / "summary.json").read_text())["stats"]["trials"] == 3
 
 
 def test_a_symlinked_trace_path_is_written_through(tmp_path):
-    target = tmp_path / "target.jsonl"
-    target.write_text("old\n")
-    link = tmp_path / "link.jsonl"
-    link.symlink_to(target)
-    simulate_once(baseline_pair_config(trials=1, seed=4), trace_path=link)
-    assert link.is_symlink()
-    assert json.loads(target.read_text().splitlines()[0])["activated"] == []
+    """So are symlinked trials.csv and summary.json paths."""
+    out = tmp_path / "out"
+    out.mkdir()
+    links = {"trace.jsonl": tmp_path / "link.jsonl", "trials.csv": out / "trials.csv", "summary.json": out / "summary.json"}
+    for name, link in links.items():
+        (tmp_path / f"target-{name}").write_text("old\n")
+        link.symlink_to(tmp_path / f"target-{name}")
+    simulate_once(baseline_pair_config(trials=1, seed=4), trace_path=links["trace.jsonl"])
+    run_experiment(baseline_pair_config(trials=3, out_dir=str(out)))
+    assert all(link.is_symlink() for link in links.values())
+    assert json.loads((tmp_path / "target-trace.jsonl").read_text().splitlines()[0])["activated"] == []
+    assert len(read_trials_csv(tmp_path / "target-trials.csv")) == 3
+    assert json.loads((tmp_path / "target-summary.json").read_text())["stats"]["trials"] == 3
 
 
 def test_counterexample_script_is_fair_and_exactly_three_bounded():
     script = build_counterexample_script(cycles=25)
     policy = scripted_policy_from(script, 4)
-    pool = frozenset({0, 1, 2, 3})
+    pool = (0, 1, 2, 3)
     rng = random.Random(0)
     history = [policy.next_activation(pool, rng) for _ in script["activations"]]
     report = audit(history, pool, k=3)

@@ -20,7 +20,7 @@ from atomswarm.schedulers import (
 
 def collect(policy, eligible, steps, seed=0):
     rng = random.Random(seed)
-    pool = frozenset(eligible)
+    pool = tuple(sorted(eligible))
     return [policy.next_activation(pool, rng) for _ in range(steps)]
 
 
@@ -32,19 +32,19 @@ def test_centralized_fair_cycles_through_ids():
 def test_centralized_fair_skips_robots_that_left_the_pool():
     policy = CentralizedFairPolicy()
     rng = random.Random(0)
-    assert policy.next_activation(frozenset({0, 1, 2}), rng) == {0}
-    assert policy.next_activation(frozenset({0, 2}), rng) == {2}
-    assert policy.next_activation(frozenset({0, 2}), rng) == {0}
+    assert policy.next_activation((0, 1, 2), rng) == {0}
+    assert policy.next_activation((0, 2), rng) == {2}
+    assert policy.next_activation((0, 2), rng) == {0}
 
 
 def test_probabilistic_subsets_are_nonempty_and_eligible():
     policy = ProbabilisticPolicy()
     rng = random.Random(11)
-    pool = frozenset({0, 1, 2, 3})
+    pool = (0, 1, 2, 3)
     for _ in range(500):
         chosen = policy.next_activation(pool, rng)
         assert chosen
-        assert chosen <= pool
+        assert chosen.issubset(pool)
 
 
 def test_probabilistic_draws_are_uniform_over_nonempty_subsets():
@@ -53,7 +53,7 @@ def test_probabilistic_draws_are_uniform_over_nonempty_subsets():
     counts = Counter()
     draws = 30_000
     for _ in range(draws):
-        counts[policy.next_activation(frozenset({1, 2}), rng)] += 1
+        counts[policy.next_activation((1, 2), rng)] += 1
     for subset in ({1}, {2}, {1, 2}):
         assert abs(counts[frozenset(subset)] / draws - 1 / 3) < 0.02
 
@@ -112,7 +112,7 @@ def test_k_bounded_picks_uniformly_from_the_reference_safe_set(k, size, seed, da
         rng_copy = random.Random()
         rng_copy.setstate(rng.getstate())
         expected = safe[rng_copy.randrange(len(safe))] if len(safe) > 1 else safe[0]
-        assert policy.next_activation(frozenset(eligible), rng) == {expected}
+        assert policy.next_activation(tuple(order), rng) == {expected}
         picks.append(expected)
 
 
@@ -184,7 +184,7 @@ class ScanKBounded:
 )
 def test_kept_state_picks_like_the_per_step_scan(kind, n, k, steps, seed, data):
     """Same rng, same picks, same draws: robots leave mid-run, and the same
-    eligible frozenset is passed until one does (sometimes an equal copy)."""
+    id-ordered eligible tuple is passed until one does (sometimes an equal copy)."""
     policy, reference = {
         "k-bounded": (KBoundedPolicy(k), ScanKBounded(k)),
         "round-robin": (CentralizedFairPolicy(), ScanRoundRobin()),
@@ -193,12 +193,12 @@ def test_kept_state_picks_like_the_per_step_scan(kind, n, k, steps, seed, data):
     removals = data.draw(st.dictionaries(st.integers(1, steps), st.integers(0, n - 1), max_size=n - 1), label="removals")
     copies = data.draw(st.sets(st.integers(1, steps)), label="copies")
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    eligible = frozenset(range(n))
+    eligible = tuple(range(n))
     for now in range(steps):
         if removals.get(now) in eligible and len(eligible) > 1:
-            eligible = eligible - {removals[now]}
+            eligible = tuple(r for r in eligible if r != removals[now])
         elif now in copies:
-            eligible = frozenset(list(eligible))
+            eligible = tuple(list(eligible))
         assert policy.next_activation(eligible, rng) == reference.next_activation(eligible, reference_rng)
         assert rng.getstate() == reference_rng.getstate()
 
@@ -211,7 +211,7 @@ def test_k_bounded_rejects_k_below_one():
 def test_scripted_policies_replay_exactly_and_then_refuse():
     policy = ScriptedPolicy([{0}, {1, 2}])
     rng = random.Random(0)
-    pool = frozenset({0, 1, 2})
+    pool = (0, 1, 2)
     assert policy.next_activation(pool, rng) == {0}
     assert policy.next_activation(pool, rng) == {1, 2}
     with pytest.raises(RuntimeError, match="script exhausted"):
@@ -221,7 +221,7 @@ def test_scripted_policies_replay_exactly_and_then_refuse():
 def test_scripted_activations_must_stay_within_the_eligible_set():
     policy = ScriptedPolicy([{5}])
     with pytest.raises(ValueError, match="not within eligible"):
-        policy.next_activation(frozenset({0, 1}), random.Random(0))
+        policy.next_activation((0, 1), random.Random(0))
 
 
 def test_scripted_policies_reject_empty_sets_up_front():
@@ -312,7 +312,7 @@ def test_script_files_round_trip(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(json.dumps(data))
     policy = load_script(path, 2)
-    pool = frozenset({0, 1})
+    pool = (0, 1)
     assert [policy.next_activation(pool, None) for _ in range(3)] == [{0}, {1}, {0, 1}]
     with pytest.raises(RuntimeError, match="script exhausted"):
         policy.next_activation(pool, None)
